@@ -15,10 +15,11 @@ from .core import (
     ExtendedDistance,
     INFINITE,
     SimplexPoint,
+    _check_lengths,
     hilbert_distance,
     t_distance,
 )
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import CertificationError, DimensionError, DomainError, ValidationError
 from .simplex import theta_chart, theta_inverse, ThetaVector
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "atar_zeitouni_bound",
     "vertex_l1_bound",
     "kl_divergence",
+    "kl_from_h_bound",
     "f_divergence",
     "f_divergence_envelope",
     "w1_exact_1d",
@@ -65,11 +67,6 @@ def _report(lhs_name: str, lhs: float, rhs_name: str, rhs: float,
     return BoundReport(lhs_name, rhs_name, lhs, rhs, slack, slack >= -_TOL, applicable)
 
 
-def _check_lengths(mu: SimplexPoint, nu: SimplexPoint) -> None:
-    if len(mu) != len(nu):
-        raise DimensionError(f"length mismatch: {len(mu)} vs {len(nu)}")
-
-
 def tv_distance(mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Total variation with the factor-2 convention: the ell^1 distance, in [0, 2]."""
     _check_lengths(mu, nu)
@@ -90,7 +87,7 @@ def atar_zeitouni_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     rhs = (2.0 / math.log(3.0)) * h.value
     sharp = 2.0 * math.tanh(h.value / 4.0)
     if sharp > min(2.0, rhs) + 1e-12:
-        raise AssertionError("tanh bound failed to dominate the linear bound")
+        raise CertificationError("tanh bound failed to dominate the linear bound")
     return _report("tv", tv, "(2/log3)*H", rhs)
 
 
@@ -129,7 +126,21 @@ def kl_divergence(mu: SimplexPoint, nu: SimplexPoint) -> ExtendedDistance:
     val = math.fsum(
         m * (math.log(m) - math.log(v)) for m, v in zip(mu.weights, nu.weights) if m > 0.0
     )
-    return ExtendedDistance.finite(max(val, 0.0))
+    return ExtendedDistance(max(val, 0.0))
+
+
+def kl_from_h_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
+    """KL(mu || nu) <= H(mu, nu); inapplicable when H is infinite.
+
+    Unlike :func:`_report`, slack is ``inf`` (not ``nan``) when both sides are infinite.
+    """
+    h = hilbert_distance(mu, nu)
+    kl = kl_divergence(mu, nu)
+    return BoundReport(
+        "KL", "H", float(kl), float(h),
+        float(h) - float(kl) if h.is_finite and kl.is_finite else math.inf,
+        float(kl) <= float(h) + 1e-10, h.is_finite,
+    )
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,7 @@ def f_divergence(mu: SimplexPoint, nu: SimplexPoint, f: ConvexFunctionSpec) -> f
     val = math.fsum(v * f(m / v) for m, v in zip(mu.weights, nu.weights) if v > 0.0)
     env = f_divergence_envelope(f, float(hilbert_distance(mu, nu)))
     if val > env + _TOL:
-        raise AssertionError(f"f-divergence {val!r} exceeds its envelope {env!r}")
+        raise CertificationError(f"f-divergence {val!r} exceeds its envelope {env!r}")
     return val
 
 

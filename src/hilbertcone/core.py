@@ -5,6 +5,10 @@ value lives in :class:`ExtendedDistance`, which keeps "infinite" as an
 explicit tag rather than a floating-point ``inf`` so that the non-comparable
 branch is always deliberate.
 
+Every metric form is one batched primitive, :func:`osc`, the oscillation
+``max(d) - min(d)`` of a log-ratio vector ``d``: H, T = tanh(H/4), the
+log-density and theta-chart forms, and Birkhoff's ``-log phi``.
+
 Ratio arithmetic runs in log-space whenever direct division would overflow
 or underflow, which keeps the metric usable for weights of magnitude up to
 ``e**700`` in either direction.
@@ -15,6 +19,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import truediv
+
+import numpy as np
 
 from .errors import DimensionError, ValidationError
 
@@ -32,6 +40,7 @@ __all__ = [
     "normalize",
     "theta_seminorm",
     "hilbert_from_log_densities",
+    "osc",
 ]
 
 
@@ -50,10 +59,6 @@ class ExtendedDistance:
         if math.isnan(v) or not math.isfinite(v) or v < 0.0:
             raise ValidationError(f"finite distance must be >= 0 and finite, got {v!r}")
         object.__setattr__(self, "value", v)
-
-    @classmethod
-    def finite(cls, value: float) -> "ExtendedDistance":
-        return cls(value)
 
     @property
     def is_finite(self) -> bool:
@@ -146,23 +151,11 @@ def log_beta(x: PositiveVector, y: PositiveVector) -> float | None:
     _check_lengths(x, y)
     if not y.support <= x.support:
         return None
-    best: float | None = None
-    safe = True
-    ratios = []
-    for i in sorted(y.support):
-        r = y.weights[i] / x.weights[i]
-        if r == 0.0 or math.isinf(r):
-            safe = False
-            break
-        ratios.append(r)
-    if safe:
-        return math.log(max(ratios))
-    for i in sorted(y.support):
-        d = math.log(y.weights[i]) - math.log(x.weights[i])
-        if best is None or d > best:
-            best = d
-    assert best is not None
-    return best
+    idx = sorted(y.support)
+    r = [y.weights[i] / x.weights[i] for i in idx]
+    if 0.0 < min(r) and max(r) < math.inf:
+        return math.log(max(r))
+    return max(math.log(y.weights[i]) - math.log(x.weights[i]) for i in idx)
 
 
 def beta(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
@@ -174,24 +167,32 @@ def beta(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
     lb = log_beta(x, y)
     if lb is None:
         return INFINITE
-    return ExtendedDistance.finite(math.exp(lb))
+    return ExtendedDistance(math.exp(lb))
 
 
-def _finite_hilbert(xw: Sequence[float], yw: Sequence[float]) -> float:
-    """H on a shared strictly-positive support, in ratio space when safe."""
-    ratios = []
-    for xv, yv in zip(xw, yw):
-        r = yv / xv
-        if r == 0.0 or math.isinf(r):
-            ratios = None
-            break
-        ratios.append(r)
-    if ratios is not None:
-        q = max(ratios) / min(ratios)
-        if not math.isinf(q):
-            return math.log(q)
-    logs = [math.log(yv) - math.log(xv) for xv, yv in zip(xw, yw)]
-    return max(logs) - min(logs)
+def osc(D) -> np.ndarray | float:
+    """max - min over the last axis, batched over the others; H(x, y) = osc(log y - log x)."""
+    D = np.asarray(D, dtype=float)
+    return D.max(axis=-1) - D.min(axis=-1)
+
+
+def _hilbert_weights(xw: Sequence[float], yw: Sequence[float]) -> float:
+    """H between equal-length weight tuples (or lists); inf when the supports differ."""
+    on = [w > 0.0 for w in xw]
+    if on != [w > 0.0 for w in yw]:
+        return math.inf
+    # Canonical operand order makes symmetry exact, not just up to rounding.
+    if yw < xw:
+        xw, yw = yw, xw
+    if not all(on):
+        xw, yw = list(compress(xw, on)), list(compress(yw, on))
+    # Python floats: converting to numpy costs more, and numpy warns on overflow.
+    r = list(map(truediv, yw, xw))
+    hi, lo = max(r), min(r)
+    # Log-space when a ratio hit 0 or inf (nan if all did) or max/min overflows.
+    if 0.0 < lo and hi / lo < math.inf:
+        return math.log(hi / lo)
+    return float(osc([math.log(b) - math.log(a) for a, b in zip(xw, yw)]))
 
 
 def hilbert_distance(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
@@ -202,15 +203,8 @@ def hilbert_distance(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
     otherwise.
     """
     _check_lengths(x, y)
-    sup = x.support
-    if sup != y.support:
-        return INFINITE
-    # Canonical operand order makes symmetry exact, not just up to rounding.
-    if y.weights < x.weights:
-        x, y = y, x
-    idx = sorted(sup)
-    h = _finite_hilbert([x.weights[i] for i in idx], [y.weights[i] for i in idx])
-    return ExtendedDistance.finite(max(h, 0.0))
+    h = _hilbert_weights(x.weights, y.weights)
+    return INFINITE if h == math.inf else ExtendedDistance(h)
 
 
 def t_distance(x: PositiveVector, y: PositiveVector) -> float:
@@ -235,7 +229,7 @@ def normalize(x: PositiveVector) -> SimplexPoint:
 
 def theta_seminorm(f: LogDensityVector) -> float:
     """max(entries) - min(entries): the oscillation seminorm on log-densities."""
-    return max(f.entries) - min(f.entries)
+    return float(osc(f.entries))
 
 
 def hilbert_from_log_densities(f: LogDensityVector, g: LogDensityVector) -> float:
@@ -246,5 +240,4 @@ def hilbert_from_log_densities(f: LogDensityVector, g: LogDensityVector) -> floa
     """
     if len(f) != len(g):
         raise DimensionError(f"length mismatch: {len(f)} vs {len(g)}")
-    diff = [fe - ge for fe, ge in zip(f.entries, g.entries)]
-    return max(diff) - min(diff)
+    return float(osc(np.subtract(f.entries, g.entries)))

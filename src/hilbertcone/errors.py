@@ -23,3 +23,7 @@ class UnsupportedDimensionError(DomainError):
 
 class CoordinateRangeError(DomainError):
     """Log-space coordinates spread too far to be mapped back to the simplex."""
+
+
+class CertificationError(HilbertConeError):
+    """A certificate the library asserts about its own result failed to hold."""

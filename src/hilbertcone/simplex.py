@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import SimplexPoint
+import numpy as np
+
+from .core import SimplexPoint, osc
 from .errors import (
     CoordinateRangeError,
     DimensionError,
@@ -119,28 +121,17 @@ def theta_inverse(theta: ThetaVector) -> SimplexPoint:
     return SimplexPoint(tuple(e / total for e in exps))
 
 
-def _theta0_diff(mu: SimplexPoint, nu: SimplexPoint) -> list[float]:
-    """Chart-0 coordinate differences, padded with the implicit 0 entry first."""
-    _require_interior(mu)
-    _require_interior(nu)
-    if len(mu) != len(nu):
-        raise DimensionError(f"length mismatch: {len(mu)} vs {len(nu)}")
-    a0 = math.log(mu.weights[0])
-    b0 = math.log(nu.weights[0])
-    diff = [0.0]
-    for i in range(1, len(mu)):
-        diff.append((math.log(mu.weights[i]) - a0) - (math.log(nu.weights[i]) - b0))
-    return diff
-
-
 def hilbert_via_theta(mu: SimplexPoint, nu: SimplexPoint) -> float:
     """H as the maximal chart coordinate difference max_{i,k} (theta_k^i(mu) - theta_k^i(nu)).
 
     Equals both the max over charts of the sup-norm difference and the
     single-chart positive/negative-part form.
     """
-    diff = _theta0_diff(mu, nu)
-    return max(diff) - min(diff)
+    a, b = theta_chart(mu, 0).coords, theta_chart(nu, 0).coords
+    if len(a) != len(b):
+        raise DimensionError(f"length mismatch: {len(mu)} vs {len(nu)}")
+    # The implicit chart-0 coordinate 0.0 takes part in the oscillation.
+    return float(osc([0.0, *(p - q for p, q in zip(a, b))]))
 
 
 def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
@@ -169,10 +160,12 @@ def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
         (i, k, sign) for i in range(n + 1) for k in range(i + 1, n + 1) for sign in (1, -1)
     )
     ball = BallPolytope(nu, float(radius), tuple(thetas), tuple(points), halfspaces)
-    for p in points:
-        err = abs(hilbert_via_theta(p, nu) - radius)
-        if err > 1e-9:
-            raise ValidationError(f"vertex misses the sphere by {err:.3g}")
+    W = np.array([p.weights for p in points])
+    if not (W > 0.0).all():
+        raise DomainError("a ball vertex underflows to the boundary of the simplex")
+    err = float(np.abs(osc(np.log(W) - np.log(nu.weights)) - radius).max())
+    if err > 1e-9:
+        raise ValidationError(f"vertex misses the sphere by {err:.3g}")
     return ball
 
 
@@ -184,8 +177,7 @@ def ball_contains(nu: SimplexPoint, radius: float, mu: SimplexPoint) -> bool:
     """
     if not radius > 0.0:
         raise ValidationError(f"radius must be > 0, got {radius!r}")
-    diff = _theta0_diff(mu, nu)
-    return max(diff) - min(diff) <= radius + 1e-12
+    return hilbert_via_theta(mu, nu) <= radius + 1e-12
 
 
 def tile(center: SimplexPoint, radius: float, shells: int) -> list[BallPolytope]:

@@ -18,6 +18,7 @@ from hilbertcone import (
     f_divergence_envelope,
     hilbert_distance,
     kl_divergence,
+    kl_from_h_bound,
     moment_gap_bound,
     sharpness_witness,
     subset_sup_bound,
@@ -321,3 +322,24 @@ class TestBoundChain:
             assert tv / 2.0 <= t + 1e-10
             assert t <= 1.0
             assert 2.0 * t <= min(2.0, (2.0 / math.log(3.0)) * h) + 1e-10
+
+
+class TestKlFromH:
+    def test_both_finite(self):
+        mu, nu = S((0.5, 0.5)), S((0.9, 0.1))
+        r = kl_from_h_bound(mu, nu)
+        kl, h = float(kl_divergence(mu, nu)), float(hilbert_distance(mu, nu))
+        assert (r.lhs_name, r.rhs_name) == ("KL", "H")
+        assert (r.lhs_value, r.rhs_value, r.slack) == (kl, h, h - kl)
+        assert r.holds and r.applicable
+
+    def test_h_infinite_kl_finite(self):
+        r = kl_from_h_bound(S((0.0, 1.0)), S((0.5, 0.5)))
+        assert r.lhs_value == pytest.approx(math.log(2), abs=1e-15)
+        assert r.rhs_value == math.inf and r.slack == math.inf
+        assert r.holds and not r.applicable
+
+    def test_both_infinite_slack_is_not_nan(self):
+        r = kl_from_h_bound(S((0.5, 0.5)), S((0.0, 1.0)))
+        assert r.lhs_value == r.rhs_value == r.slack == math.inf
+        assert r.holds and not r.applicable

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hilbertcone import ValidationError
+from hilbertcone import CertificationError, SimplexPoint, ValidationError
+from hilbertcone import contraction
 from hilbertcone.cli import parse_input, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -203,3 +204,37 @@ class TestExitCodes:
         mu0 = write(tmp_path, "mu0.json", "[0.5, 0.5]")
         code, _ = run(["markov", p, mu0, "3"])
         assert code == 1
+
+
+def single_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestCleanErrors:
+    def test_tau_on_empty_array(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", "[]")
+        assert run(["tau", m]) == (1, "")
+        assert single_error_line(capsys)
+
+    def test_tau_kernel_on_single_row(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", "[[1, 2, 3]]")
+        assert run(["tau-kernel", g]) == (1, "")
+        assert single_error_line(capsys)
+
+    def test_non_integer_seed_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        m = write(tmp_path, "m.json", "[[3, 1], [2, 5]]")
+        monkeypatch.setenv("HILBERT_CONE_SEED", "abc")
+        assert run(["verify", m, "--trials", "10"]) == (2, "")
+        assert single_error_line(capsys)
+
+    def test_certificate_violation(self, tmp_path, monkeypatch, capsys):
+        # A forced tau = 0 claims pi is reached in one step, false for this chain.
+        monkeypatch.setattr(contraction, "birkhoff_tau", lambda P: 0.0)
+        chain = [[0.75, 0.25], [0.25, 0.75]]
+        with pytest.raises(CertificationError, match="exceeds certified bound"):
+            contraction.markov_converge(chain, SimplexPoint((0.9, 0.1)), 5)
+        p = write(tmp_path, "p.json", json.dumps(chain))
+        mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")
+        assert run(["markov", p, mu0, "5"]) == (1, "")
+        assert single_error_line(capsys)

@@ -96,6 +96,34 @@ class TestBirkhoffPhi:
         for _ in range(30):
             a = random_allowable(rng, int(rng.integers(2, 7)))
             assert birkhoff_phi(a.T.copy()) == birkhoff_phi(a)
+        for zero_frac in (0.0, 0.3):
+            for _ in range(30):
+                p = random_allowable(rng, int(rng.integers(2, 7)), zero_frac=zero_frac)
+                p = p / p.sum(axis=1, keepdims=True)
+                assert birkhoff_tau(p.T.copy()) == birkhoff_tau(p)
+
+
+def log_phi_min_over_pairs(a):
+    """min over row pairs (i, j) of min_k(L[i,k] - L[j,k]) + min_l(L[j,l] - L[i,l])."""
+    L = np.log(np.asarray(a, dtype=float))
+    m = L.shape[0]
+    return min(float(min(L[i] - L[j]) + min(L[j] - L[i])) for i in range(m) for j in range(m))
+
+
+@pytest.mark.parametrize("a", [
+    [[1.0]], [[0.5]], [[7.0]],
+    [[1, 1], [1, 1]], [[1, 2], [2, 4]], [[2, 1], [1, 2]], [[3, 1], [2, 5]],
+    [[1e-300, 1], [1, 1e300]], [[1e-300, 1], [1, 1e-300]],
+])
+def test_oscillation_pass_matches_pair_minimum_without_negative_zero(a):
+    lp = min(log_phi_min_over_pairs(a), log_phi_min_over_pairs(np.transpose(a)))
+    assert birkhoff_phi(a) == math.exp(lp)
+    assert birkhoff_tau(a) == (1 - math.exp(lp / 2)) / (1 + math.exp(lp / 2))
+    assert float(projective_diameter(a)) == -lp
+    report = verify_contraction(a, trials=5, seed=0)
+    for v in (birkhoff_phi(a), birkhoff_tau(a), float(projective_diameter(a)),
+              report.phi, report.tau, float(report.diameter)):
+        assert math.copysign(1.0, v) == 1.0
 
 
 class TestBirkhoffTau:

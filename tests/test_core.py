@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from hilbertcone import (
     hilbert_distance,
     hilbert_from_log_densities,
     normalize,
+    osc,
     t_distance,
     theta_seminorm,
 )
@@ -242,3 +244,94 @@ def test_identity_of_indiscernibles_on_simplex(rng):
             assert h <= 1e-12
     mu = SimplexPoint((0.25, 0.75))
     assert hilbert_distance(mu, mu).value == 0.0
+
+
+def finite_hilbert_reference(xw, yw):
+    """Reference oracle: H on a shared strictly positive support, as a Python loop.
+
+    Ratio space when no ratio (nor the max/min quotient) leaves float range,
+    else the max - min of libm log differences.
+    """
+    ratios = []
+    for xv, yv in zip(xw, yw):
+        r = yv / xv
+        if r == 0.0 or math.isinf(r):
+            ratios = None
+            break
+        ratios.append(r)
+    if ratios is not None:
+        q = max(ratios) / min(ratios)
+        if not math.isinf(q):
+            return math.log(q)
+    logs = [math.log(yv) - math.log(xv) for xv, yv in zip(xw, yw)]
+    return max(logs) - min(logs)
+
+
+def hilbert_reference(x, y):
+    """Scalar H with the support test and canonical operand order; inf off-face."""
+    if x.support != y.support:
+        return math.inf
+    if y.weights < x.weights:
+        x, y = y, x
+    idx = sorted(x.support)
+    return max(finite_hilbert_reference([x.weights[i] for i in idx],
+                                        [y.weights[i] for i in idx]), 0.0)
+
+
+def kernel_pairs(rng, count):
+    """Pairs over n in 2..12: moderate weights, weights near e^+-700 (ratios that
+    overflow or underflow), ratios in range whose max/min quotient overflows, and
+    shared or mismatched zero-support faces."""
+    pairs = []
+    for k in range(count):
+        n = 2 if k % 5 == 0 else int(rng.integers(2, 13))
+        spread = (3.0, 700.0, 350.0, 3.0)[k % 4]
+        lx, ly = rng.uniform(-spread, spread, size=(2, n))
+        x, y = np.exp(lx), np.exp(ly)
+        if k % 3 == 0 and n > 2:
+            face = rng.random(n) < 0.4
+            face[int(rng.integers(n))] = False
+            x[face] = 0.0
+            y[face if k % 2 else np.roll(face, 1)] = 0.0
+            if not y.any():
+                y[0] = 1.0
+        pairs.append((V(tuple(x)), V(tuple(y))))
+    return pairs
+
+
+class TestKernelAgainstReference:
+    def test_scalar_bit_identical(self, rng):
+        pairs = kernel_pairs(rng, 4000)
+        for x, y in pairs:
+            ref = hilbert_reference(x, y)
+            h = hilbert_distance(x, y)
+            assert float(h).hex() == ref.hex(), (x, y)
+            assert h.infinite == math.isinf(ref)
+            t = 1.0 if math.isinf(ref) else math.tanh(ref / 4.0)
+            assert t_distance(x, y).hex() == t.hex()
+        assert sum(math.isinf(hilbert_reference(x, y)) for x, y in pairs) > 100
+
+    def test_extreme_branches_reached(self):
+        big, small = math.exp(700), math.exp(-700)
+        for x, y in [
+            (V((big, small)), V((small, big))),  # ratios overflow and underflow
+            (V((1.0, 1.0)), V((math.exp(400), math.exp(-400)))),  # max/min quotient overflows
+            (V((0.0, small, big)), V((0.0, big, small))),  # on a face, in log-space
+            (V((2.0, 3.0)), V((5.0, 7.0))),  # n = 2, ratio space
+        ]:
+            assert float(hilbert_distance(x, y)).hex() == hilbert_reference(x, y).hex()
+
+    def test_batched_osc_matches_scalar(self, rng):
+        for n in (2, 3, 7, 12):
+            for spread in (3.0, 350.0, 700.0):
+                X, Y = np.exp(rng.uniform(-spread, spread, size=(2, 200, n)))
+                D = np.log(Y) - np.log(X)
+                batched = osc(D)
+                assert batched.shape == (200,)
+                for row, x, y, h in zip(D, X, Y, batched):
+                    ref = hilbert_reference(V(tuple(x)), V(tuple(y)))
+                    assert abs(h - ref) <= 1e-12 * (1.0 + np.abs(row).max())
+
+    def test_osc_shapes(self):
+        assert osc([3.0, -1.0, 2.0]) == 4.0
+        assert osc(np.zeros((2, 3, 4))).shape == (2, 3)

@@ -128,6 +128,15 @@ class TestBallVertices:
             (0.25, 0.5, 0.25), abs=1e-12
         )
 
+    def test_sphere_check_at_float_range_limits(self):
+        # Subnormal vertex weights lose the precision the 1e-9 sphere check needs;
+        # past ~745 they underflow to the simplex boundary.
+        assert len(ball_vertices(UNIFORM3, 720.0).simplex_vertices) == 6
+        with pytest.raises(ValidationError, match="misses the sphere"):
+            ball_vertices(UNIFORM3, 730.0)
+        with pytest.raises(DomainError):
+            ball_vertices(UNIFORM3, 800.0)
+
     def test_vertices_on_sphere(self, rng):
         for _ in range(20):
             nu = random_simplex(rng, int(rng.integers(2, 6)), spread=1.0)
