@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _check_finite_numbers(rows: list[list[float]], *, allow_negative: bool) -> N
         if len(row) != width:
             raise ValidationError(f"ragged array: row {i} has {len(row)} entries, expected {width}")
         for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if not isinstance(v, float) or not math.isfinite(v):
                 raise ValidationError(f"entry at ({i}, {j}) is not a finite number: {v!r}")
             if not allow_negative and v < 0:
                 idx = f"index {j}" if len(rows) == 1 else f"({i}, {j})"
@@ -80,7 +80,8 @@ def parse_input(text: str, kind: str) -> InputDocument:
     stripped = text.lstrip()
     if stripped.startswith(("[", "{")):
         try:
-            data = json.loads(text)
+            # Integers too large for a float become inf and are rejected as non-finite.
+            data = json.loads(text, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ValidationError(
                 f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -118,7 +119,8 @@ def parse_input(text: str, kind: str) -> InputDocument:
 
 
 def _load(path: str, kind: str) -> InputDocument:
-    with open(path, encoding="utf-8") as fh:
+    # A byte that is not UTF-8 fails as a non-number, or is ignored in a comment.
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_input(fh.read(), kind)
 
 
@@ -141,18 +143,6 @@ def _emit_json(obj, out) -> None:
 
 def _vector(path: str) -> PositiveVector:
     return PositiveVector(tuple(_load(path, "vector").payload))
-
-
-def _report_dict(r: bnd.BoundReport) -> dict:
-    return {
-        "lhs_name": r.lhs_name,
-        "rhs_name": r.rhs_name,
-        "lhs_value": r.lhs_value,
-        "rhs_value": r.rhs_value,
-        "slack": r.slack,
-        "holds": r.holds,
-        "applicable": r.applicable,
-    }
 
 
 def _cmd_dist(args, out) -> int:
@@ -241,7 +231,7 @@ def _cmd_bounds(args, out) -> int:
         bnd.moment_gap_bound(xs, mu, nu, xs[0], 2),
         bnd.kl_from_h_bound(mu, nu),
     ]
-    _emit_json([_report_dict(r) for r in reports], out)
+    _emit_json([asdict(r) for r in reports], out)
     return 0
 
 

@@ -7,15 +7,17 @@ minimal cross-ratio ``phi(A) = min A[i,k]*A[j,l] / (A[j,k]*A[i,l])``.  With
     -log phi = max_{i<j} osc(L[i] - L[j]) = max_{i<j} H(row_i, row_j),
 
 the projective diameter, which stays tractable for n in the thousands; the
-exhaustive O(n^4) scan is kept only as a test oracle.  The zero conventions
-(0/0 -> 1, 0/positive -> 0) are resolved before taking any logarithm: for an
-allowable matrix a single zero entry already forces phi = 0.
+exhaustive O(n^4) scan is kept only as a test oracle.  Each matrix or kernel
+runs the pass once and caches it.  The zero conventions (0/0 -> 1,
+0/positive -> 0) are resolved before taking any logarithm: for an allowable
+matrix a single zero entry already forces phi = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +33,7 @@ from .core import (
     osc,
     t_distance,
 )
-from .errors import CertificationError, DimensionError, ValidationError
+from .errors import CertificationError, DimensionError, DomainError, ValidationError
 
 __all__ = [
     "NonnegMatrix",
@@ -78,6 +80,16 @@ class NonnegMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def _diameter(self) -> float:
+        """-log phi, or inf when phi = 0 (any zero entry of an allowable matrix)."""
+        a = self.entries
+        if (a == 0).any():
+            return math.inf
+        k = int(np.argmax(a != a.T))  # first entry, in C order, where A and A.T differ
+        # Pass on the one smaller there, so phi(A) == phi(A.T) exactly; C-order logs are faster.
+        return _pairwise_diameter(np.log(a.T if a.flat[k] > a.T.flat[k] else a, order="C"))
+
 
 def _as_matrix(a) -> NonnegMatrix:
     return a if isinstance(a, NonnegMatrix) else NonnegMatrix(np.asarray(a, dtype=float))
@@ -87,9 +99,9 @@ def _as_matrix(a) -> NonnegMatrix:
 class GridKernel:
     """A strictly positive kernel density on a grid, stored as log values.
 
-    ``log_values[i, j] = log kappa(a_grid[i], x_grid[j])``.  The output grid
-    must be uniformly spaced since :func:`kernel_apply` integrates the
-    reference measure with uniform weights.
+    ``log_values[i, j] = log kappa(a_grid[i], x_grid[j])``.  Both grids only
+    need to be strictly increasing: :func:`kernel_apply` takes masses on
+    ``x_grid``, so no quadrature weight enters.
     """
 
     log_values: np.ndarray
@@ -111,18 +123,17 @@ class GridKernel:
             raise ValidationError("log kernel values must be finite")
         if not (np.diff(ag) > 0).all() or not (np.diff(xg) > 0).all():
             raise ValidationError("grids must be strictly increasing")
-        steps = np.diff(ag)
-        if np.ptp(steps) > 1e-9 * steps[0]:
-            raise ValidationError("output grid must be uniformly spaced")
-        for arr in (lv, ag, xg):
-            arr.setflags(write=False)
-        object.__setattr__(self, "log_values", lv)
-        object.__setattr__(self, "a_grid", ag)
-        object.__setattr__(self, "x_grid", xg)
+        for name, arr in (("log_values", lv), ("a_grid", ag), ("x_grid", xg)):
+            arr.setflags(write=False)  # the cached diameter relies on it
+            object.__setattr__(self, name, arr)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.log_values.shape
+
+    @cached_property
+    def _diameter(self) -> float:
+        return _pairwise_diameter(self.log_values)
 
 
 def _pairwise_diameter(L: np.ndarray) -> float:
@@ -136,15 +147,6 @@ def _pairwise_diameter(L: np.ndarray) -> float:
     return float(max(blocks, default=0.0))
 
 
-def _diameter(A: NonnegMatrix) -> float:
-    """-log phi(A), or inf when phi(A) = 0 (any zero entry of an allowable A)."""
-    if (A.entries == 0).any():
-        return math.inf
-    L = np.log(A.entries)
-    # Symmetrized so that phi(A) == phi(A.T) bit-for-bit.
-    return max(_pairwise_diameter(L), _pairwise_diameter(L.T))
-
-
 def _tau(d: float) -> float:
     s = math.exp(-d / 2.0)
     return (1.0 - s) / (1.0 + s)
@@ -156,36 +158,35 @@ def _extended(d: float) -> ExtendedDistance:
 
 def birkhoff_phi(A) -> float:
     """Minimal cross-ratio phi(A) in [0, 1]; zero iff A has a zero entry."""
-    return math.exp(-_diameter(_as_matrix(A)))
+    return math.exp(-_as_matrix(A)._diameter)
 
 
 def birkhoff_tau(A) -> float:
     """Birkhoff contraction coefficient (1 - sqrt(phi)) / (1 + sqrt(phi))."""
-    return _tau(_diameter(_as_matrix(A)))
+    return _tau(_as_matrix(A)._diameter)
 
 
 def projective_diameter(A) -> ExtendedDistance:
     """Diameter of the cone image, -log phi(A); Infinite unless A is strictly positive."""
-    return _extended(_diameter(_as_matrix(A)))
+    return _extended(_as_matrix(A)._diameter)
 
 
 def grid_kernel_phi(K: GridKernel) -> float:
     """Minimal kernel cross-ratio over grid quadruples, in (0, 1]."""
-    return math.exp(-_pairwise_diameter(K.log_values))
+    return math.exp(-K._diameter)
 
 
 def grid_kernel_tau(K: GridKernel) -> float:
     """Contraction coefficient of the discretized kernel operator, in [0, 1)."""
-    return _tau(_pairwise_diameter(K.log_values))
+    return _tau(K._diameter)
 
 
 def kernel_apply(K: GridKernel, mu: PositiveVector) -> PositiveVector:
-    """Push mu through the kernel: out[i] = sum_k kappa(a_i, x_k) mu[k] * da."""
+    """Push the masses mu through the kernel: out[i] = sum_k kappa(a_i, x_k) mu[k]."""
     m, p = K.shape
     if len(mu) != p:
         raise DimensionError(f"measure has length {len(mu)}, kernel expects {p}")
-    da = float(K.a_grid[1] - K.a_grid[0])
-    out = np.exp(K.log_values) @ np.asarray(mu.weights) * da
+    out = np.exp(K.log_values) @ np.asarray(mu.weights)
     return PositiveVector(tuple(out))
 
 
@@ -213,14 +214,18 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
     A = _as_matrix(A)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    d = _diameter(A)
+    d = A._diameter
     tau = _tau(d)
     rng = np.random.default_rng(seed)
     n = A.n
     X = np.exp(rng.uniform(-3.0, 3.0, size=(trials, n)))
     Y = np.exp(rng.uniform(-3.0, 3.0, size=(trials, n)))
     t_xy = np.tanh(osc(np.log(Y) - np.log(X)) / 4.0)
-    t_axy = np.tanh(osc(np.log(Y @ A.entries.T) - np.log(X @ A.entries.T)) / 4.0)
+    with np.errstate(over="ignore", divide="ignore"):  # such images are rejected below
+        LAX, LAY = np.log(X @ A.entries.T), np.log(Y @ A.entries.T)
+    if not (np.isfinite(LAX).all() and np.isfinite(LAY).all()):
+        raise DomainError("A x overflows or underflows a float for a sampled x; rescale A")
+    t_axy = np.tanh(osc(LAY - LAX) / 4.0)
     max_violation = float((t_axy - tau * t_xy).max())
     return ContractionReport(
         tau=tau,
@@ -279,6 +284,8 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
         cur = nxt
         if h < 1e-13:
             break
+    else:
+        raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
     pi = _simplex_of(cur)
 
     h0 = float(hilbert_distance(mu0, pi))

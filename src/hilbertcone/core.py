@@ -24,7 +24,7 @@ from operator import truediv
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError
 
 __all__ = [
     "ExtendedDistance",
@@ -223,7 +223,10 @@ def comparable(x: PositiveVector, y: PositiveVector) -> bool:
 
 def normalize(x: PositiveVector) -> SimplexPoint:
     """Scale x to unit total mass."""
-    total = math.fsum(x.weights)
+    try:
+        total = math.fsum(x.weights)
+    except OverflowError as exc:
+        raise DomainError("total mass overflows a float; rescale the weights") from exc
     return SimplexPoint(tuple(w / total for w in x.weights))
 
 

@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbertcone import CertificationError, SimplexPoint, ValidationError
 from hilbertcone import contraction
@@ -238,3 +240,108 @@ class TestCleanErrors:
         mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")
         assert run(["markov", p, mu0, "5"]) == (1, "")
         assert single_error_line(capsys)
+
+    @pytest.mark.parametrize("a", ["[1e308, 1e308]", "[" + "9" * 400 + ", 1]"],
+                             ids=["mass-overflow", "400-digit-int"])
+    def test_dist_past_float_range(self, tmp_path, capsys, a):
+        b = write(tmp_path, "b.json", "[1, 1]")
+        assert run(["dist", write(tmp_path, "a.json", a), b]) == (1, "")
+        assert single_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_on_overflowing_image(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", "[[1.3e307]]")
+        assert run(["verify", m]) == (1, "")
+        assert single_error_line(capsys)
+
+    def test_document_that_is_not_utf8(self, tmp_path, capsys):
+        bad, latin = tmp_path / "bad.json", tmp_path / "latin.csv"
+        bad.write_bytes(b"[[1, 2], [3, \xff]]")
+        latin.write_bytes(b"# caf\xe9\n2,1\n1,2\n")
+        assert run(["tau", str(bad)]) == (1, "")
+        assert single_error_line(capsys)
+        golden = (GOLDEN / "tau_2x2.json").read_text(encoding="utf-8")
+        assert run(["tau", str(latin)]) == (0, golden)
+
+    def test_periodic_chain_has_no_stationary_distribution(self, tmp_path, capsys):
+        p = write(tmp_path, "p.json", "[[0, 1], [1, 0]]")
+        mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")
+        assert run(["markov", p, mu0, "5"]) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: no stationary distribution") and err.count("\n") == 1
+        assert "H=4.394449154672439" in err
+
+
+def test_one_phi_pass_per_op(tmp_path, monkeypatch):
+    """tau, tau-kernel, verify and markov each run the O(n^3) pass once, on C-order logs."""
+    passes = []
+    real = contraction._pairwise_diameter
+    monkeypatch.setattr(
+        contraction, "_pairwise_diameter", lambda L: passes.append(L.flags.c_contiguous) or real(L)
+    )
+    # Non-symmetric, so the pass runs on the transpose of one of them.
+    m = write(tmp_path, "m.json", "[[3, 2], [1, 5]]")
+    p = write(tmp_path, "p.json", "[[0.7, 0.3], [0.2, 0.8]]")
+    mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")
+    g = write(tmp_path, "g.json", "[[0, -1, 2], [-1, 0, 1]]")
+    for argv in (["tau", m], ["tau-kernel", g], ["verify", m, "--trials", "10"],
+                 ["markov", p, mu0, "3"]):
+        passes.clear()
+        assert run(argv)[0] == 0
+        assert passes == [True], argv
+
+
+_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.integers(10**300, 10**400),
+    st.floats(0.0, 10.0),
+    st.floats(1e300, 1.7976931348623157e308),
+    st.sampled_from([5e-324, 1e-310, -1.0, math.inf, math.nan]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+_rows = st.lists(_scalars, min_size=1, max_size=4)
+_json_docs = st.one_of(
+    _rows,
+    st.lists(_rows, min_size=0, max_size=4),
+    st.lists(st.lists(_rows, max_size=2), max_size=2),
+    st.fixed_dictionaries({"log_values": st.lists(_rows, max_size=3), "a_grid": _rows,
+                           "x_grid": _rows}),
+    st.dictionaries(st.text(max_size=3), _scalars, max_size=2),
+).map(json.dumps)
+_csv_docs = st.lists(_rows, min_size=0, max_size=4).map(
+    lambda rows: "\n".join(",".join(map(str, r)) for r in rows)
+)
+_documents = st.one_of(_json_docs, _csv_docs, st.text(max_size=20)).map(str.encode) | st.binary(
+    max_size=20
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr beside the error line
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["dist", "bounds", "tau", "tau-kernel", "verify", "ball"]),
+    first=_documents,
+    second=_documents,
+    radius=st.sampled_from(["0.5", "1e308", "0", "nan"]),
+)
+def test_any_document_ends_cleanly(command, first, second, radius):
+    with tempfile.TemporaryDirectory() as d:
+        a, b = Path(d, "a"), Path(d, "b")
+        a.write_bytes(first)
+        b.write_bytes(second)
+        argv = {
+            "dist": [command, str(a), str(b)],
+            "bounds": [command, str(a), str(b)],
+            "ball": [command, str(a), radius],
+            "verify": [command, str(a), "--trials", "20"],
+        }.get(command, [command, str(a)])
+        code, out = run(argv)
+    assert code in (0, 1, 2)
+    if out:
+        json.loads(out, parse_constant=_reject_constant)

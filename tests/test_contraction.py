@@ -96,6 +96,19 @@ class TestBirkhoffPhi:
         for _ in range(30):
             a = random_allowable(rng, int(rng.integers(2, 7)))
             assert birkhoff_phi(a.T.copy()) == birkhoff_phi(a)
+        for n in (130, 131, 160):  # a block of the phi pass is one row
+            a = random_allowable(rng, n)
+            assert birkhoff_phi(a.T.copy()) == birkhoff_phi(a)
+            assert birkhoff_tau(a.T) == birkhoff_tau(a)
+        for _ in range(30):
+            # Symmetric but for one entry: A and A.T first differ deep in C order.
+            n = int(rng.integers(2, 7))
+            a = random_allowable(rng, n)
+            a = a + a.T
+            a[rng.integers(n), rng.integers(n)] *= 1.5
+            assert birkhoff_phi(a.T.copy()) == birkhoff_phi(a)
+            a = random_allowable(rng, n, zero_frac=0.3)
+            assert birkhoff_phi(a.T.copy()) == birkhoff_phi(a)
         for zero_frac in (0.0, 0.3):
             for _ in range(30):
                 p = random_allowable(rng, int(rng.integers(2, 7)), zero_frac=zero_frac)
@@ -214,12 +227,12 @@ class TestKernelApply:
     def test_diagonal_dominant_preserves_argmax(self):
         g = np.arange(5.0)
         L = -2.0 * (g[:, None] - g[None, :]) ** 2
-        K = GridKernel(L, g, g)
         mu = PositiveVector((0.1, 0.1, 0.1, 3.0, 0.1))
-        out = kernel_apply(K, mu)
         expected = np.exp(L) @ np.asarray(mu.weights)
-        assert np.argmax(out.weights) == 3
-        assert np.allclose(out.weights, expected, rtol=1e-14)
+        for a_grid in (g, g**2):  # mu holds masses: the spacing of a_grid plays no part
+            out = kernel_apply(GridKernel(L, a_grid, g), mu)
+            assert np.argmax(out.weights) == 3
+            assert np.allclose(out.weights, expected, rtol=1e-14)
 
     def test_contracts_in_t(self, rng):
         g = np.linspace(0.0, 1.0, 8)
