@@ -67,6 +67,14 @@ def _report(lhs_name: str, lhs: float, rhs_name: str, rhs: float,
     return BoundReport(lhs_name, rhs_name, lhs, rhs, slack, slack >= -_TOL, applicable)
 
 
+def _expm1(h: float) -> float:
+    """e^h - 1, or inf past float range, where the bound it scales is vacuous."""
+    try:
+        return math.expm1(h)
+    except OverflowError:
+        return math.inf
+
+
 def tv_distance(mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Total variation with the factor-2 convention: the ell^1 distance, in [0, 2]."""
     _check_lengths(mu, nu)
@@ -229,7 +237,7 @@ def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: Simpl
         return _report("W1", lhs, "(e^H-1)*m1(mu)", math.inf, applicable=False)
     xs = [float(x) for x in support_points]
     moment = math.fsum(abs(x - x0) * w for x, w in zip(xs, mu.weights))
-    return _report("W1", lhs, "(e^H-1)*m1(mu)", math.expm1(h.value) * moment)
+    return _report("W1", lhs, "(e^H-1)*m1(mu)", _expm1(h.value) * moment)
 
 
 def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint,
@@ -250,7 +258,7 @@ def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: Simp
         return _report(f"|moment-gap q={q:g}|", lhs, name, math.inf, applicable=False)
     ref = mu if moment_of == "mu" else nu
     k_q = math.fsum(abs(x - x0) ** q * w for x, w in zip(xs, ref.weights))
-    return _report(f"|moment-gap q={q:g}|", lhs, name, k_q * math.expm1(h.value))
+    return _report(f"|moment-gap q={q:g}|", lhs, name, k_q * _expm1(h.value))
 
 
 def t_upper_from_tv(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:

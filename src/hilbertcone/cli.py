@@ -1,21 +1,23 @@
 """Command-line frontend: distances, contraction coefficients, balls, tilings.
 
 Inputs are flat files, JSON (array or array-of-arrays, object for kernel
-grids) or CSV with '#'-prefixed header lines.  All floating-point output is
-serialized with ``repr`` (shortest round-trip), infinite distances as the
-JSON string "inf", so reruns with identical arguments and seed are
-byte-identical.  The default seed is 0 and can be overridden by the
-``HILBERT_CONE_SEED`` environment variable or ``--seed``.
+grids) or CSV with '#'-prefixed header lines.  The CLI checks a document's
+shape only; the library type built from it checks the values.  All
+floating-point output is serialized with ``repr`` (shortest round-trip),
+infinite distances as the JSON string "inf", so reruns with identical
+arguments and seed are byte-identical.  The default seed is 0 and can be
+overridden by the ``HILBERT_CONE_SEED`` environment variable or ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,18 +34,13 @@ from .core import (
 )
 from .errors import HilbertConeError, ValidationError
 
-__all__ = ["InputDocument", "parse_input", "run_command", "main"]
+__all__ = ["parse_input", "run_command", "main"]
 
 KINDS = ("vector", "matrix", "kernel_grid")
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    kind: str
-    payload: object
-
-
-def _check_finite_numbers(rows: list[list[float]], *, allow_negative: bool) -> None:
+def _number_rows(rows) -> list[list[float]]:
+    """``rows``, checked to be a non-empty rectangular array of (JSON or CSV) numbers."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError("expected a non-empty array of arrays of numbers")
     width = len(rows[0])
@@ -51,11 +48,9 @@ def _check_finite_numbers(rows: list[list[float]], *, allow_negative: bool) -> N
         if len(row) != width:
             raise ValidationError(f"ragged array: row {i} has {len(row)} entries, expected {width}")
         for j, v in enumerate(row):
-            if not isinstance(v, float) or not math.isfinite(v):
-                raise ValidationError(f"entry at ({i}, {j}) is not a finite number: {v!r}")
-            if not allow_negative and v < 0:
-                idx = f"index {j}" if len(rows) == 1 else f"({i}, {j})"
-                raise ValidationError(f"negative entry at {idx}: {v!r}")
+            if not isinstance(v, float):  # numpy would coerce a bool or a numeric string
+                raise ValidationError(f"entry at ({i}, {j}) is not a number: {v!r}")
+    return rows
 
 
 def _parse_csv(text: str) -> list[list[float]]:
@@ -73,14 +68,14 @@ def _parse_csv(text: str) -> list[list[float]]:
     return rows
 
 
-def parse_input(text: str, kind: str) -> InputDocument:
-    """Parse a JSON or CSV document into a validated numeric payload."""
+def parse_input(text: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridKernel:
+    """Parse a JSON or CSV document into the library object of ``kind``, which checks values."""
     if kind not in KINDS:
         raise ValidationError(f"unknown input kind {kind!r}")
     stripped = text.lstrip()
     if stripped.startswith(("[", "{")):
         try:
-            # Integers too large for a float become inf and are rejected as non-finite.
+            # Integers too large for a float become inf, which the library rejects.
             data = json.loads(text, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ValidationError(
@@ -89,36 +84,26 @@ def parse_input(text: str, kind: str) -> InputDocument:
     else:
         data = _parse_csv(text)
 
-    if kind == "kernel_grid":
-        if isinstance(data, dict):
-            try:
-                lv, ag, xg = data["log_values"], data["a_grid"], data["x_grid"]
-            except KeyError as exc:
-                raise ValidationError(f"kernel grid document is missing key {exc}") from exc
-            _check_finite_numbers([ag], allow_negative=True)
-            _check_finite_numbers([xg], allow_negative=True)
-        else:
-            lv = data
-        _check_finite_numbers(lv, allow_negative=True)
-        if not isinstance(data, dict):
-            # Implicit uniform unit grids; a one-point axis gets [0.0], which GridKernel rejects.
-            ag = [i / max(len(lv) - 1, 1) for i in range(len(lv))]
-            xg = [j / max(len(lv[0]) - 1, 1) for j in range(len(lv[0]))]
-        return InputDocument(kind, {"log_values": lv, "a_grid": ag, "x_grid": xg})
-
-    rows = data
+    if kind == "matrix":
+        return ctr.NonnegMatrix(_number_rows(data))
     if kind == "vector":
         if isinstance(data, list) and data and isinstance(data[0], list):
             if len(data) != 1:
                 raise ValidationError("expected a single row for a vector input")
             data = data[0]
-        rows = [data]
-    _check_finite_numbers(rows, allow_negative=False)
-    payload = rows[0] if kind == "vector" else rows
-    return InputDocument(kind, payload)
+        return PositiveVector(tuple(_number_rows([data])[0]))
+    if isinstance(data, dict):
+        try:
+            lv, ag, xg = data["log_values"], data["a_grid"], data["x_grid"]
+        except KeyError as exc:
+            raise ValidationError(f"kernel grid document is missing key {exc}") from exc
+        return ctr.GridKernel(_number_rows(lv), _number_rows([ag])[0], _number_rows([xg])[0])
+    lv = _number_rows(data)
+    # Implicit uniform unit grids; a one-point axis gets [0.0], which GridKernel rejects.
+    return ctr.GridKernel(lv, np.linspace(0.0, 1.0, len(lv)), np.linspace(0.0, 1.0, len(lv[0])))
 
 
-def _load(path: str, kind: str) -> InputDocument:
+def _load(path: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridKernel:
     # A byte that is not UTF-8 fails as a non-number, or is ignored in a comment.
     with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_input(fh.read(), kind)
@@ -141,12 +126,8 @@ def _emit_json(obj, out) -> None:
     out.write("\n")
 
 
-def _vector(path: str) -> PositiveVector:
-    return PositiveVector(tuple(_load(path, "vector").payload))
-
-
 def _cmd_dist(args, out) -> int:
-    a, b = _vector(args.a), _vector(args.b)
+    a, b = _load(args.a, "vector"), _load(args.b, "vector")
     mu, nu = normalize(a), normalize(b)
     _emit_json(
         {
@@ -162,7 +143,7 @@ def _cmd_dist(args, out) -> int:
 
 
 def _cmd_tau(args, out) -> int:
-    A = ctr.NonnegMatrix(np.asarray(_load(args.matrix, "matrix").payload))
+    A = _load(args.matrix, "matrix")
     _emit_json(
         {
             "phi": ctr.birkhoff_phi(A),
@@ -175,10 +156,7 @@ def _cmd_tau(args, out) -> int:
 
 
 def _cmd_tau_kernel(args, out) -> int:
-    doc = _load(args.grid, "kernel_grid").payload
-    K = ctr.GridKernel(
-        np.asarray(doc["log_values"]), np.asarray(doc["a_grid"]), np.asarray(doc["x_grid"])
-    )
+    K = _load(args.grid, "kernel_grid")
     _emit_json({"phi": ctr.grid_kernel_phi(K), "tau": ctr.grid_kernel_tau(K)}, out)
     return 0
 
@@ -194,13 +172,13 @@ def _ball_dict(ball: spx.BallPolytope) -> dict:
 
 
 def _cmd_ball(args, out) -> int:
-    center = normalize(_vector(args.center))
+    center = normalize(_load(args.center, "vector"))
     _emit_json(_ball_dict(spx.ball_vertices(center, args.radius)), out)
     return 0
 
 
 def _cmd_tile(args, out) -> int:
-    center = normalize(_vector(args.center))
+    center = normalize(_load(args.center, "vector"))
     balls = spx.tile(center, args.radius, args.shells)
     with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(spx.render_svg(balls, spx.View.SIMPLEX_2D))
@@ -209,8 +187,8 @@ def _cmd_tile(args, out) -> int:
 
 
 def _cmd_markov(args, out) -> int:
-    P = ctr.NonnegMatrix(np.asarray(_load(args.matrix, "matrix").payload))
-    mu0 = normalize(_vector(args.mu0))
+    P = _load(args.matrix, "matrix")
+    mu0 = normalize(_load(args.mu0, "vector"))
     run = ctr.markov_converge(P, mu0, args.steps)
     out.write("step,hilbert,t,tv,certified_bound\n")
     for row in run.steps:
@@ -219,7 +197,7 @@ def _cmd_markov(args, out) -> int:
 
 
 def _cmd_bounds(args, out) -> int:
-    mu, nu = normalize(_vector(args.a)), normalize(_vector(args.b))
+    mu, nu = normalize(_load(args.a, "vector")), normalize(_load(args.b, "vector"))
     xs = [float(i) for i in range(len(mu))]
     reports = [
         bnd.tv_from_t_bound(mu, nu),
@@ -236,8 +214,9 @@ def _cmd_bounds(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    A = ctr.NonnegMatrix(np.asarray(_load(args.matrix, "matrix").payload))
-    report = ctr.verify_contraction(A, args.trials, args.seed)
+    A = _load(args.matrix, "matrix")
+    seed = args.env_seed if args.seed is None else args.seed
+    report = ctr.verify_contraction(A, args.trials, seed)
     _emit_json(
         {
             "phi": report.phi,
@@ -252,7 +231,8 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.passed else 1
 
 
-def _build_parser(default_seed: int) -> argparse.ArgumentParser:
+@functools.cache  # built once per process: the environment is read per call, not here
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbertcone",
         description="Hilbert projective metric, Birkhoff coefficients, and simplex geometry.",
@@ -298,7 +278,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized contraction check for a matrix")
     p.add_argument("matrix")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -313,9 +293,9 @@ def run_command(argv: list[str], out=None) -> int:
     except ValueError:
         print(f"error: HILBERT_CONE_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
         return 2
-    parser = _build_parser(default_seed)
     try:
-        args = parser.parse_args(argv)
+        # env_seed is no parser option, so the subcommand's defaults leave it in place.
+        args = _build_parser().parse_args(argv, argparse.Namespace(env_seed=default_seed))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

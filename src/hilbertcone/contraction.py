@@ -31,7 +31,6 @@ from .core import (
     hilbert_distance,
     normalize,
     osc,
-    t_distance,
 )
 from .errors import CertificationError, DimensionError, DomainError, ValidationError
 
@@ -64,14 +63,14 @@ class NonnegMatrix:
             raise DimensionError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionError("matrix must be at least 1x1")
-        if not np.isfinite(a).all():
-            raise ValidationError("matrix entries must be finite")
-        if (a < 0).any():
-            i, j = np.argwhere(a < 0)[0]
-            raise ValidationError(f"negative entry at ({i}, {j})")
-        if (a.sum(axis=1) == 0).any():
+        for bad, what in ((~np.isfinite(a), "not finite"), (a < 0, "negative")):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValidationError(f"entry at ({i}, {j}) is {what}: {float(a[i, j])!r}")
+        # Tested with any, not sum: a sum of finite entries can overflow to inf.
+        if not (a > 0).any(axis=1).all():
             raise ValidationError("matrix is not allowable: a row is identically zero")
-        if (a.sum(axis=0) == 0).any():
+        if not (a > 0).any(axis=0).all():
             raise ValidationError("matrix is not allowable: a column is identically zero")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -119,8 +118,9 @@ class GridKernel:
             raise ValidationError("kernel grid needs at least 2 points on each axis")
         if ag.shape != (m,) or xg.shape != (p,):
             raise DimensionError("grid lengths must match the log_values shape")
-        if not np.isfinite(lv).all():
-            raise ValidationError("log kernel values must be finite")
+        for name, arr in (("log kernel values", lv), ("a_grid", ag), ("x_grid", xg)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must be finite")
         if not (np.diff(ag) > 0).all() or not (np.diff(xg) > 0).all():
             raise ValidationError("grids must be strictly increasing")
         for name, arr in (("log_values", lv), ("a_grid", ag), ("x_grid", xg)):
@@ -254,8 +254,9 @@ class MarkovRun:
     nonexpansive_only: bool  # tau == 1: the bound degenerates to non-expansiveness
 
 
-def _simplex_of(row: np.ndarray) -> SimplexPoint:
-    return normalize(PositiveVector(tuple(row)))
+def _unit_mass(row: np.ndarray) -> list[float]:
+    """The weights normalize() gives for row, without building a SimplexPoint."""
+    return (row / math.fsum(row)).tolist()
 
 
 def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
@@ -280,20 +281,24 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
     for _ in range(100_000):
         nxt = cur @ P.entries
         nxt = nxt / nxt.sum()
-        h = _hilbert_weights((cur / math.fsum(cur)).tolist(), (nxt / math.fsum(nxt)).tolist())
+        h = _hilbert_weights(_unit_mass(cur), _unit_mass(nxt))
         cur = nxt
         if h < 1e-13:
             break
     else:
         raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
-    pi = _simplex_of(cur)
+    pi = normalize(PositiveVector(tuple(cur)))
 
     h0 = float(hilbert_distance(mu0, pi))
+    pw = list(pi.weights)
     rows: list[MarkovStep] = []
-    mu = mu0
-    arr = np.asarray(mu0.weights)
+    arr, mw, hk = np.asarray(mu0.weights), list(mu0.weights), h0
     for k in range(steps + 1):
-        hk = float(hilbert_distance(mu, pi))
+        if k:
+            arr = arr @ P.entries
+            arr = arr / arr.sum()
+            mw = _unit_mass(arr)
+            hk = _hilbert_weights(mw, pw)
         if math.isinf(h0):
             # 0 * inf: a rank-one chain hits pi exactly after one step.
             bound = math.inf if (tau > 0.0 or k == 0) else 0.0
@@ -301,9 +306,6 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
             bound = (tau**k) * h0
         if math.isfinite(bound) and hk > bound + 1e-9:
             raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
-        tv = sum(abs(a - b) for a, b in zip(mu.weights, pi.weights))
-        rows.append(MarkovStep(k, hk, t_distance(mu, pi), tv, bound))
-        arr = arr @ P.entries
-        arr = arr / arr.sum()
-        mu = _simplex_of(arr)
+        tv = sum(abs(a - b) for a, b in zip(mw, pw))
+        rows.append(MarkovStep(k, hk, math.tanh(hk / 4.0), tv, bound))
     return MarkovRun(tuple(rows), pi, tau, nonexpansive_only=(tau >= 1.0))

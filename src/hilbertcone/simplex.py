@@ -42,6 +42,9 @@ __all__ = [
 
 # Softmax inputs with a larger log-space spread would silently saturate.
 _MAX_COORD_SPREAD = 1400.0
+# Balls on S^13 have 16,382 vertices (~1.3 s, 9 MB of CLI JSON); each further
+# dimension doubles that, so larger ones are refused before any vertex is built.
+_MAX_BALL_DIM = 13
 
 
 @dataclass(frozen=True)
@@ -139,12 +142,14 @@ def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
 
     Vertices are the chart-0 points ``theta_0(nu) +/- R * indicator(I)`` over
     all nonempty subsets I of {1..n}, listed with sign ``+`` first and subsets
-    in ascending bitmask order.
+    in ascending bitmask order.  Balls are built up to S^13.
     """
+    n = len(nu) - 1
+    if n > _MAX_BALL_DIM:
+        raise UnsupportedDimensionError(f"balls are built up to S^{_MAX_BALL_DIM}, got S^{n}")
     _require_interior(nu)
     if not radius > 0.0:
         raise ValidationError(f"radius must be > 0, got {radius!r}")
-    n = len(nu) - 1
     base = theta_chart(nu, 0).coords
     thetas: list[ThetaVector] = []
     points: list[SimplexPoint] = []

@@ -236,6 +236,14 @@ class TestW1:
         rep = w1_bound_from_h((0.0, 1.0), S((1.0, 0.0)), S((0.5, 0.5)), x0=0.0)
         assert not rep.applicable
 
+    def test_vacuous_past_float_range(self):
+        # H = log(2 / 4e-309) > 709.8, so e^H - 1 overflows a float.
+        mu, nu = S((0.5, 0.25, 0.25)), S((0.5, 0.5, 1e-309))
+        xs = (0.0, 1.0, 2.0)
+        for rep in (w1_bound_from_h(xs, mu, nu, x0=0.0),
+                    moment_gap_bound(xs, mu, nu, x0=0.0, q=2.0)):
+            assert rep.rhs_value == math.inf and rep.holds and rep.applicable
+
     def test_increasing_points_required(self):
         with pytest.raises(ValidationError):
             w1_exact_1d((1.0, 0.0), S((0.5, 0.5)), S((0.4, 0.6)))

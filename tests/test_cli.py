@@ -2,12 +2,20 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertcone import CertificationError, SimplexPoint, ValidationError
+from hilbertcone import (
+    CertificationError,
+    GridKernel,
+    NonnegMatrix,
+    PositiveVector,
+    SimplexPoint,
+    ValidationError,
+)
 from hilbertcone import contraction
 from hilbertcone.cli import parse_input, run_command
 
@@ -29,15 +37,16 @@ def write(tmp_path, name, text):
 class TestParseInput:
     def test_json_vector(self):
         doc = parse_input("[1, 2, 3]", "vector")
-        assert doc.kind == "vector"
-        assert doc.payload == [1, 2, 3]
+        assert type(doc) is PositiveVector
+        assert doc.weights == (1.0, 2.0, 3.0)
 
     def test_csv_matrix(self):
         doc = parse_input("# identity\n1,0\n0,1\n", "matrix")
-        assert doc.payload == [[1.0, 0.0], [0.0, 1.0]]
+        assert type(doc) is NonnegMatrix
+        assert doc.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_single_row_json_matrix_as_vector(self):
-        assert parse_input("[[1, 2, 3]]", "vector").payload == [1, 2, 3]
+        assert parse_input("[[1, 2, 3]]", "vector").weights == (1.0, 2.0, 3.0)
 
     def test_negative_names_index(self):
         with pytest.raises(ValidationError, match="index 1"):
@@ -64,12 +73,13 @@ class TestParseInput:
             '{"log_values": [[0, -1], [-1, 0]], "a_grid": [0, 1], "x_grid": [0, 1]}',
             "kernel_grid",
         )
-        assert doc.payload["a_grid"] == [0, 1]
+        assert type(doc) is GridKernel
+        assert doc.a_grid.tolist() == [0, 1]
 
     def test_kernel_grid_bare_matrix(self):
         doc = parse_input("[[0, -1], [-1, 0]]", "kernel_grid")
-        assert doc.payload["a_grid"] == [0.0, 1.0]
-        assert doc.payload["x_grid"] == [0.0, 1.0]
+        assert doc.a_grid.tolist() == [0.0, 1.0]
+        assert doc.x_grid.tolist() == [0.0, 1.0]
 
     def test_kernel_grid_missing_key(self):
         with pytest.raises(ValidationError, match="missing key"):
@@ -78,6 +88,22 @@ class TestParseInput:
     def test_empty(self):
         with pytest.raises(ValidationError):
             parse_input("\n# only comments\n", "vector")
+
+    @pytest.mark.parametrize("doc", ["[1, true]", '[1, "2"]', "[1, null]", "[1, [2]]"])
+    def test_entries_must_be_json_numbers(self, doc):
+        with pytest.raises(ValidationError, match=r"entry at \(0, 1\) is not a number"):
+            parse_input(doc, "vector")
+
+    @pytest.mark.parametrize("doc, kind, match", [
+        ("[1, Infinity]", "vector", "index 1"),
+        ("[[1, 2], [3, NaN]]", "matrix", r"\(1, 1\) is not finite"),
+        ("[[1, 2], [-3, 4]]", "matrix", r"\(1, 0\) is negative"),
+        ('{"log_values": [[0, 0], [0, 0]], "a_grid": [0, Infinity], "x_grid": [0, 1]}',
+         "kernel_grid", "a_grid must be finite"),
+    ])
+    def test_values_are_checked_by_the_library_type(self, doc, kind, match):
+        with pytest.raises(ValidationError, match=match):
+            parse_input(doc, kind)
 
 
 class TestCommands:
@@ -178,11 +204,15 @@ class TestDeterminism:
 
     def test_env_seed(self, tmp_path, monkeypatch):
         m = write(tmp_path, "m.json", "[[3, 1], [2, 5]]")
-        monkeypatch.setenv("HILBERT_CONE_SEED", "77")
-        _, env_out = run(["verify", m, "--trials", "100"])
-        monkeypatch.delenv("HILBERT_CONE_SEED")
-        _, flag_out = run(["verify", m, "--trials", "100", "--seed", "77"])
-        assert env_out == flag_out
+        outs = set()
+        for seed in ("77", "78"):  # one process: the variable is read on every call
+            monkeypatch.setenv("HILBERT_CONE_SEED", seed)
+            _, env_out = run(["verify", m, "--trials", "100"])
+            monkeypatch.delenv("HILBERT_CONE_SEED")
+            _, flag_out = run(["verify", m, "--trials", "100", "--seed", seed])
+            assert env_out == flag_out
+            outs.add(env_out)
+        assert len(outs) == 2
 
 
 class TestExitCodes:
@@ -226,9 +256,16 @@ class TestCleanErrors:
 
     def test_non_integer_seed_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
         m = write(tmp_path, "m.json", "[[3, 1], [2, 5]]")
+        p = write(tmp_path, "p.json", "[[0.75, 0.25], [0.25, 0.75]]")
+        v = write(tmp_path, "v.json", "[1, 2, 3]")
+        mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")
+        svg = str(tmp_path / "t.svg")
         monkeypatch.setenv("HILBERT_CONE_SEED", "abc")
-        assert run(["verify", m, "--trials", "10"]) == (2, "")
-        assert single_error_line(capsys)
+        for argv in (["verify", m, "--trials", "10"], ["dist", v, v], ["bounds", v, v],
+                     ["tau", m], ["tau-kernel", m], ["ball", v, "0.5"],
+                     ["tile", v, "0.5", "1", "--svg", svg], ["markov", p, mu0, "3"]):
+            assert run(argv) == (2, ""), argv
+            assert single_error_line(capsys), argv
 
     def test_certificate_violation(self, tmp_path, monkeypatch, capsys):
         # A forced tau = 0 claims pi is reached in one step, false for this chain.
@@ -262,6 +299,13 @@ class TestCleanErrors:
         assert single_error_line(capsys)
         golden = (GOLDEN / "tau_2x2.json").read_text(encoding="utf-8")
         assert run(["tau", str(latin)]) == (0, golden)
+
+    def test_ball_above_the_dimension_cap(self, tmp_path, capsys):
+        c = write(tmp_path, "c.json", json.dumps([1.0] * 30))
+        start = time.perf_counter()
+        assert run(["ball", c, "0.5"]) == (1, "")
+        assert time.perf_counter() - start < 1.0
+        assert single_error_line(capsys)
 
     def test_periodic_chain_has_no_stationary_distribution(self, tmp_path, capsys):
         p = write(tmp_path, "p.json", "[[0, 1], [1, 0]]")
@@ -313,9 +357,18 @@ _json_docs = st.one_of(
 _csv_docs = st.lists(_rows, min_size=0, max_size=4).map(
     lambda rows: "\n".join(",".join(map(str, r)) for r in rows)
 )
-_documents = st.one_of(_json_docs, _csv_docs, st.text(max_size=20)).map(str.encode) | st.binary(
-    max_size=20
-)
+# Half the documents are valid 3-entry vectors or 3-state chains, so that
+# markov and tile get past parsing.  Positive chains end the stationary search
+# in a few steps.
+_vector3 = st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3)
+_chain3 = st.lists(st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3), min_size=3,
+                   max_size=3).map(lambda m: [[v / sum(r) for v in r] for r in m])
+_documents = st.sampled_from([
+    _vector3.map(json.dumps).map(str.encode),
+    _chain3.map(json.dumps).map(str.encode),
+    st.one_of(_json_docs, _csv_docs, st.text(max_size=20)).map(str.encode),
+    st.binary(max_size=20),
+]).flatmap(lambda documents: documents)
 
 
 def _reject_constant(name):
@@ -325,12 +378,15 @@ def _reject_constant(name):
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr beside the error line
 @settings(max_examples=300, deadline=None)
 @given(
-    command=st.sampled_from(["dist", "bounds", "tau", "tau-kernel", "verify", "ball"]),
+    command=st.sampled_from(
+        ["dist", "bounds", "tau", "tau-kernel", "verify", "ball", "markov", "tile"]
+    ),
     first=_documents,
     second=_documents,
     radius=st.sampled_from(["0.5", "1e308", "0", "nan"]),
+    count=st.sampled_from(["2", "0", "-1"]),
 )
-def test_any_document_ends_cleanly(command, first, second, radius):
+def test_any_document_ends_cleanly(command, first, second, radius, count):
     with tempfile.TemporaryDirectory() as d:
         a, b = Path(d, "a"), Path(d, "b")
         a.write_bytes(first)
@@ -340,8 +396,14 @@ def test_any_document_ends_cleanly(command, first, second, radius):
             "bounds": [command, str(a), str(b)],
             "ball": [command, str(a), radius],
             "verify": [command, str(a), "--trials", "20"],
+            "markov": [command, str(a), str(b), count],
+            "tile": [command, str(a), radius, count, "--svg", str(Path(d, "t.svg"))],
         }.get(command, [command, str(a)])
         code, out = run(argv)
     assert code in (0, 1, 2)
-    if out:
+    if command == "markov" and out:
+        header, *rows = out.splitlines()
+        assert header == "step,hilbert,t,tv,certified_bound"
+        assert not any(math.isnan(float(v)) for row in rows for v in row.split(","))
+    elif out:
         json.loads(out, parse_constant=_reject_constant)

@@ -214,6 +214,9 @@ class TestGridKernel:
             GridKernel(np.array([[np.inf, 0.0], [0.0, 0.0]]), np.arange(2.0), np.arange(2.0))
         with pytest.raises(ValidationError):
             GridKernel(np.zeros((2, 2)), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        for grid in ([0.0, np.inf], [-np.inf, 0.0], [np.inf, np.inf], [0.0, np.nan]):
+            with pytest.raises(ValidationError, match="must be finite"):
+                GridKernel(np.zeros((2, 2)), np.arange(2.0), np.array(grid))
         with pytest.raises(DimensionError):
             GridKernel(np.zeros((2, 3)), np.arange(2.0), np.arange(2.0))
 
@@ -338,6 +341,39 @@ class TestMarkovConverge:
         with pytest.raises(ValidationError):
             markov_converge([[0.8, 0.4], [0.5, 0.5]], SimplexPoint((0.5, 0.5)), 2)
 
+    def test_table_matches_public_api_bit_for_bit(self, rng):
+        """The table against a SimplexPoint, hilbert_distance and t_distance per step."""
+        for case in range(50):
+            n = int(rng.integers(2, 7))
+            a = random_allowable(rng, n, zero_frac=0.3 if case % 3 == 0 else 0.0)
+            # A positive diagonal and n-cycle: irreducible and aperiodic, so pi exists.
+            i = np.arange(n)
+            for j in (i, (i + 1) % n):
+                a[i, j] = np.maximum(a[i, j], 0.05)
+            p = a / a.sum(axis=1, keepdims=True)
+            w = np.exp(rng.uniform(-3.0, 3.0, size=n))
+            if case % 4 == 0:
+                w[rng.integers(n)] = 0.0  # mu0 on a face: infinite H at first
+            mu0 = normalize(PositiveVector(tuple(w)))
+            run = markov_converge(p, mu0, 12)
+            pi = run.stationary
+            h0 = float(hilbert_distance(mu0, pi))
+            mu, arr = mu0, np.asarray(mu0.weights)
+            for k, step in enumerate(run.steps):
+                h = float(hilbert_distance(mu, pi))
+                if math.isinf(h0):
+                    bound = math.inf if run.tau > 0.0 or k == 0 else 0.0
+                else:
+                    bound = run.tau**k * h0
+                tv = sum(abs(x - y) for x, y in zip(mu.weights, pi.weights))
+                want = (k, h, t_distance(mu, pi), tv, bound)
+                assert [v.hex() if isinstance(v, float) else v for v in step] == [
+                    v.hex() if isinstance(v, float) else v for v in want
+                ], (case, k)
+                arr = arr @ p
+                arr = arr / arr.sum()
+                mu = normalize(PositiveVector(tuple(arr)))
+
     def test_infinite_start_bound_is_vacuous(self):
         run = markov_converge([[0.75, 0.25], [0.25, 0.75]], SimplexPoint((1.0, 0.0)), 3)
         assert math.isinf(run.steps[0].hilbert)
@@ -345,9 +381,14 @@ class TestMarkovConverge:
         assert math.isfinite(run.steps[1].hilbert)
 
 
+@pytest.mark.filterwarnings("error")
 def test_matrix_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"\(0, 1\) is negative"):
         NonnegMatrix(np.array([[1.0, -1.0], [1.0, 1.0]]))
+    with pytest.raises(ValidationError, match=r"\(1, 0\) is not finite: nan"):
+        NonnegMatrix(np.array([[1.0, -1.0], [np.nan, np.inf]]))
+    # Rows that sum past the float range are still allowable, without a warning.
+    assert NonnegMatrix(np.array([[1e308, 1e308], [1.0, 1.0]])).n == 2
     with pytest.raises(DimensionError):
         NonnegMatrix(np.ones((2, 3)))
     m = NonnegMatrix(np.eye(3))

@@ -161,6 +161,13 @@ class TestBallVertices:
         with pytest.raises(ValidationError):
             ball_vertices(UNIFORM3, 0.0)
 
+    def test_dimension_cap(self):
+        # S^13 passes the cap and fails on the radius; S^14 is refused first.
+        with pytest.raises(ValidationError, match="radius"):
+            ball_vertices(SimplexPoint((1 / 14,) * 14), 0.0)
+        with pytest.raises(UnsupportedDimensionError, match=r"S\^14"):
+            ball_vertices(SimplexPoint((1 / 15,) * 15), 0.5)
+
     def test_polytope_count_validation(self):
         ball = ball_vertices(UNIFORM3, 1.0)
         with pytest.raises(ValidationError):
