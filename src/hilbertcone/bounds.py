@@ -63,7 +63,8 @@ class BoundReport:
 
 def _report(lhs_name: str, lhs: float, rhs_name: str, rhs: float,
             applicable: bool = True) -> BoundReport:
-    slack = rhs - lhs
+    """The one report constructor: an infinite rhs is vacuous, so its slack is inf, never nan."""
+    slack = math.inf if rhs == math.inf else rhs - lhs
     return BoundReport(lhs_name, rhs_name, lhs, rhs, slack, slack >= -_TOL, applicable)
 
 
@@ -90,27 +91,21 @@ def atar_zeitouni_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """The older linear bound tv <= (2/log 3) * H; inapplicable when H is infinite."""
     tv = tv_distance(mu, nu)
     h = hilbert_distance(mu, nu)
-    if h.infinite:
-        return _report("tv", tv, "(2/log3)*H", math.inf, applicable=False)
     rhs = (2.0 / math.log(3.0)) * h.value
     sharp = 2.0 * math.tanh(h.value / 4.0)
     if sharp > min(2.0, rhs) + 1e-12:
         raise CertificationError("tanh bound failed to dominate the linear bound")
-    return _report("tv", tv, "(2/log3)*H", rhs)
+    return _report("tv", tv, "(2/log3)*H", rhs, applicable=h.is_finite)
 
 
 def _g_plus(s: float, r: float) -> float:
     return 2.0 * (math.exp(r) - 1.0) * s * (1.0 - s) / (1.0 + s * math.exp(r) - s)
 
 
-def _g_minus(s: float, r: float) -> float:
-    return 2.0 * (1.0 - math.exp(-r)) * s * (1.0 - s) / (1.0 + s * math.exp(-r) - s)
-
-
 def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
     """Max ell^1 distance from nu over vertices of its Hilbert ball of radius R.
 
-    Evaluates g_R^+ and g_R^- at every nonempty subset sum of nu's weights
+    Evaluates g_R^+ and g_R^-(s) = -g_R^+(s, -R) at every nonempty subset sum of nu's weights
     (excluding index 0); dominates tv(mu, nu) for any mu at distance R and is
     itself bounded by 2 tanh(R/4).
     """
@@ -122,7 +117,7 @@ def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
     best = 0.0
     for mask in range(1, 2**n):
         s = math.fsum(nu.weights[i + 1] for i in range(n) if mask >> i & 1)
-        best = max(best, _g_plus(s, radius), _g_minus(s, radius))
+        best = max(best, _g_plus(s, radius), -_g_plus(s, -radius))
     return best
 
 
@@ -138,17 +133,9 @@ def kl_divergence(mu: SimplexPoint, nu: SimplexPoint) -> ExtendedDistance:
 
 
 def kl_from_h_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
-    """KL(mu || nu) <= H(mu, nu); inapplicable when H is infinite.
-
-    Unlike :func:`_report`, slack is ``inf`` (not ``nan``) when both sides are infinite.
-    """
+    """KL(mu || nu) <= H(mu, nu); inapplicable when H is infinite."""
     h = hilbert_distance(mu, nu)
-    kl = kl_divergence(mu, nu)
-    return BoundReport(
-        "KL", "H", float(kl), float(h),
-        float(h) - float(kl) if h.is_finite and kl.is_finite else math.inf,
-        float(kl) <= float(h) + 1e-10, h.is_finite,
-    )
+    return _report("KL", float(kl_divergence(mu, nu)), "H", float(h), applicable=h.is_finite)
 
 
 @dataclass(frozen=True)
@@ -185,14 +172,23 @@ F_CHI2 = ConvexFunctionSpec(lambda u: (u - 1.0) ** 2, "(u-1)^2")
 
 
 def f_divergence_envelope(f: ConvexFunctionSpec, h: float) -> float:
-    """max{f~(e^-H), f~(e^H)} for the normalization f~ with 0 in its subgradient at 1."""
+    """max{f~(e^-H), f~(e^H)} for the normalization f~ with 0 in its subgradient at 1.
+
+    Past float range, where the envelope is vacuous, it is ``inf``.
+    """
     eps = 1e-6
     c = -(f(1.0 + eps) - f(1.0 - eps)) / (2.0 * eps)
 
     def fbar(u: float) -> float:
         return f(u) + c * (u - 1.0)
 
-    return max(fbar(math.exp(-h)), fbar(math.exp(h)))
+    try:
+        # e^H first: while it is finite, e^-H has not underflowed to 0.  f(e^H) can
+        # still overflow, e.g. (e^H - 1)^2 past H ~ 355.
+        e_h = math.exp(h)
+        return max(fbar(math.exp(-h)), fbar(e_h)) if e_h < math.inf else math.inf
+    except OverflowError:
+        return math.inf
 
 
 def f_divergence(mu: SimplexPoint, nu: SimplexPoint, f: ConvexFunctionSpec) -> float:
@@ -247,6 +243,8 @@ def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: Simp
     The reference measure for K_q defaults to mu (the asserted form); pass
     ``moment_of="nu"`` for the symmetric variant.
     """
+    if moment_of not in ("mu", "nu"):
+        raise ValidationError(f"moment_of must be 'mu' or 'nu', got {moment_of!r}")
     _check_lengths(mu, nu)
     xs = _check_support_points(support_points, len(mu))
     h = hilbert_distance(mu, nu)

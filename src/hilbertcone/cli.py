@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -109,20 +108,15 @@ def _load(path: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridK
         return parse_input(fh.read(), kind)
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """``json.dump``'s hook for ExtendedDistance, the one non-JSON type the CLI writes."""
     if isinstance(obj, ExtendedDistance):
         return "inf" if obj.infinite else obj.value
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(obj, out) -> None:
-    json.dump(_jsonable(obj), out, indent=2)
+    json.dump(obj, out, indent=2, default=_json_default)
     out.write("\n")
 
 
@@ -163,11 +157,11 @@ def _cmd_tau_kernel(args, out) -> int:
 
 def _ball_dict(ball: spx.BallPolytope) -> dict:
     return {
-        "center": list(ball.center.weights),
+        "center": ball.center.weights,
         "radius": ball.radius,
-        "theta_vertices": [list(v.coords) for v in ball.theta_vertices],
-        "simplex_vertices": [list(v.weights) for v in ball.simplex_vertices],
-        "halfspaces": [list(h) for h in ball.halfspaces],
+        "theta_vertices": [v.coords for v in ball.theta_vertices],
+        "simplex_vertices": [v.weights for v in ball.simplex_vertices],
+        "halfspaces": ball.halfspaces,
     }
 
 
@@ -209,7 +203,9 @@ def _cmd_bounds(args, out) -> int:
         bnd.moment_gap_bound(xs, mu, nu, xs[0], 2),
         bnd.kl_from_h_bound(mu, nu),
     ]
-    _emit_json([asdict(r) for r in reports], out)
+    # Only a report's lhs_value, rhs_value and slack can be inf, written as the string "inf".
+    rows = [{k: "inf" if v == math.inf else v for k, v in vars(r).items()} for r in reports]
+    _emit_json(rows, out)
     return 0
 
 

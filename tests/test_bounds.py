@@ -203,6 +203,25 @@ class TestFDivergence:
         with pytest.raises(DomainError):
             f_divergence(S((1.0, 0.0)), S((0.5, 0.5)), F_KL)
 
+    def test_envelope_vacuous_past_float_range(self):
+        for f in (F_KL, F_TV_HALF, F_HELLINGER, F_CHI2):
+            assert math.isfinite(f_divergence_envelope(f, 300.0))
+            for h in (720.0, 800.0, math.inf):
+                assert f_divergence_envelope(f, h) == math.inf, (f.name, h)
+        # e^H is finite here, but (e^H - 1)^2 is not.
+        assert f_divergence_envelope(F_CHI2, 400.0) == math.inf
+
+    def test_divergence_past_float_range(self):
+        # H = log(2e309) ~ 712: e^H overflows, so every envelope is vacuous.
+        mu, nu = S((1.0 - 1e-309, 1e-309)), S((0.5, 0.5))
+        assert float(hilbert_distance(mu, nu)) > 710.0
+        assert f_divergence(mu, nu, F_TV_HALF) == pytest.approx(0.5, abs=1e-12)
+        assert f_divergence(mu, nu, F_KL) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert f_divergence(mu, nu, F_CHI2) == pytest.approx(1.0, abs=1e-12)
+        assert f_divergence(mu, nu, F_HELLINGER) == pytest.approx(
+            2.0 - math.sqrt(2.0), abs=1e-12
+        )
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             ConvexFunctionSpec(lambda u: u, "u")  # f(1) != 0
@@ -274,6 +293,11 @@ class TestMomentGap:
         rep = moment_gap_bound((0.0, 1.0, 2.0), mu, mu, x0=0.0, q=2.0)
         assert rep.lhs_value == 0.0
         assert rep.holds
+
+    def test_moment_of_names_a_measure(self):
+        mu, nu = S((0.25, 0.75)), S((0.5, 0.5))
+        with pytest.raises(ValidationError, match="moment_of"):
+            moment_gap_bound((0.0, 1.0), mu, nu, x0=0.0, q=1.0, moment_of="foo")
 
 
 class TestTUpperFromTv:

@@ -316,6 +316,53 @@ class TestCleanErrors:
         assert "H=4.394449154672439" in err
 
 
+def _report_text(lhs_name, rhs_name, lhs, rhs, slack, applicable):
+    return (f'  {{\n    "lhs_name": "{lhs_name}",\n    "rhs_name": "{rhs_name}",\n'
+            f'    "lhs_value": {lhs},\n    "rhs_value": {rhs},\n    "slack": {slack},\n'
+            f'    "holds": true,\n    "applicable": {applicable}\n  }}')
+
+
+class TestInfiniteOutput:
+    """Exact stdout where a value is infinite; the texts were produced by the seed CLI."""
+
+    A, B = "[1, 1, 2]", "[1, 0, 1]"  # not comparable: mu has mass where nu has none
+    M = "[[1, 0], [1, 1]]"  # a zero entry: phi = 0 and the diameter is infinite
+
+    def test_dist_on_non_comparable_pair(self, tmp_path):
+        a, b = write(tmp_path, "a.json", self.A), write(tmp_path, "b.json", self.B)
+        assert run(["dist", a, b]) == (0, (
+            '{\n  "hilbert": "inf",\n  "t": 1.0,\n  "tv": 0.5,\n  "kl": "inf",\n'
+            '  "comparable": false\n}\n'
+        ))
+
+    def test_tau_with_zero_entry(self, tmp_path):
+        m = write(tmp_path, "m.json", self.M)
+        assert run(["tau", m]) == (0, '{\n  "phi": 0.0,\n  "tau": 1.0,\n  "diameter": "inf"\n}\n')
+
+    def test_verify_with_zero_entry(self, tmp_path):
+        m = write(tmp_path, "m.json", self.M)
+        assert run(["verify", m, "--trials", "50", "--seed", "3"]) == (0, (
+            '{\n  "phi": 0.0,\n  "tau": 1.0,\n  "diameter": "inf",\n  "trials": 50,\n'
+            '  "max_violation": -0.001402170908941177,\n  "passed": true\n}\n'
+        ))
+
+    def test_bounds_on_mismatched_supports(self, tmp_path):
+        a, b = write(tmp_path, "a.json", self.A), write(tmp_path, "b.json", self.B)
+        inf = '"inf"'
+        reports = [
+            ("tv", "2*tanh(H/4)", 0.5, 2.0, 1.5, "true"),
+            ("tv", "(2/log3)*H", 0.5, inf, inf, "false"),
+            ("sup_A |mu(A)-nu(A)|", "T", 0.25, 1.0, 0.75, "true"),
+            ("T", "tv/(4*min-mass)", 1.0, inf, inf, "false"),
+            ("W1", "(e^H-1)*m1(mu)", 0.25, inf, inf, "false"),
+            ("|moment-gap q=1|", "K_1(mu)*(e^H-1)", 0.25, inf, inf, "false"),
+            ("|moment-gap q=2|", "K_2(mu)*(e^H-1)", 0.25, inf, inf, "false"),
+            ("KL", "H", inf, inf, inf, "false"),
+        ]
+        expected = "[\n" + ",\n".join(_report_text(*r) for r in reports) + "\n]\n"
+        assert run(["bounds", a, b]) == (0, expected)
+
+
 def test_one_phi_pass_per_op(tmp_path, monkeypatch):
     """tau, tau-kernel, verify and markov each run the O(n^3) pass once, on C-order logs."""
     passes = []

@@ -82,12 +82,15 @@ class TestThetaInverse:
             assert back.coords == pytest.approx(th.coords, abs=1e-12)
 
     def test_large_but_safe_spread(self):
-        mu = theta_inverse(ThetaVector(0, (700.0, -700.0)))
+        mu = theta_inverse(ThetaVector(0, (700.0, -5.0)))
         assert mu.weights[1] == pytest.approx(1.0, abs=1e-12)
+        assert all(w > 0.0 for w in mu.weights)
 
     def test_excessive_spread(self):
-        with pytest.raises(CoordinateRangeError):
-            theta_inverse(ThetaVector(0, (800.0, -800.0)))
+        # (700, -700) is within float range, but e^-1400 underflows to a zero weight.
+        for coords in ((800.0, -800.0), (700.0, -700.0)):
+            with pytest.raises(CoordinateRangeError):
+                theta_inverse(ThetaVector(0, coords))
 
 
 class TestHilbertViaTheta:
