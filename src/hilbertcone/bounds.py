@@ -99,7 +99,16 @@ def atar_zeitouni_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
 
 
 def _g_plus(s: float, r: float) -> float:
-    return 2.0 * (math.exp(r) - 1.0) * s * (1.0 - s) / (1.0 + s * math.exp(r) - s)
+    try:
+        e = math.exp(r)
+    except OverflowError:
+        e = math.inf
+    g = 2.0 * (e - 1.0) * s * (1.0 - s) / (1.0 + s * e - s)
+    if math.isfinite(g):
+        return g
+    # Near float range the terms overflow; divided by e^r they do not.
+    q = math.exp(-r)
+    return 2.0 * (1.0 - q) * s * (1.0 - s) / (q * (1.0 - s) + s)
 
 
 def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
@@ -107,7 +116,7 @@ def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
 
     Evaluates g_R^+ and g_R^-(s) = -g_R^+(s, -R) at every nonempty subset sum of nu's weights
     (excluding index 0); dominates tv(mu, nu) for any mu at distance R and is
-    itself bounded by 2 tanh(R/4).
+    itself bounded by 2 tanh(R/4), so it is finite for every R, inf included.
     """
     if not nu.full_support:
         raise DomainError("vertex bound requires an interior center")
@@ -282,11 +291,18 @@ def sharpness_witness(radius: float) -> tuple[SimplexPoint, SimplexPoint]:
     """A pair (nu, mu) on S^1 with tv(mu, nu) equal to 2 tanh(R/4).
 
     nu puts the g-maximizer mass 1/(1 + e^(R/2)) on index 0; mu is the
-    matching ball vertex at distance R.
+    matching ball vertex at distance R.  Past R ~ 1419.6, where e^(R/2) is
+    past float range, no interior witness is representable: DomainError.
     """
     if not radius > 0.0:
         raise ValidationError(f"radius must be > 0, got {radius!r}")
-    x_star = 1.0 / (1.0 + math.exp(radius / 2.0))
+    try:
+        e_half = math.exp(radius / 2.0)
+    except OverflowError:
+        raise DomainError(
+            f"no interior witness at radius {radius!r}: e^(R/2) is past float range"
+        ) from None
+    x_star = 1.0 / (1.0 + e_half)
     nu = SimplexPoint((x_star, 1.0 - x_star))
     base = theta_chart(nu, 0).coords
     mu = theta_inverse(ThetaVector(0, (base[0] - radius,)))

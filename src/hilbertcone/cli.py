@@ -155,19 +155,32 @@ def _cmd_tau_kernel(args, out) -> int:
     return 0
 
 
-def _ball_dict(ball: spx.BallPolytope) -> dict:
-    return {
-        "center": ball.center.weights,
-        "radius": ball.radius,
-        "theta_vertices": [v.coords for v in ball.theta_vertices],
-        "simplex_vertices": [v.weights for v in ball.simplex_vertices],
-        "halfspaces": ball.halfspaces,
-    }
+def _rows_json(rows, fmt, pad: str):
+    """``json.dumps(rows, indent=2)`` for a list of number lists, row by row, indented by ``pad``."""
+    sep, lead = f",\n{pad}    ", "[\n"
+    for row in rows:
+        yield f"{lead}{pad}  [\n{pad}    " + sep.join(map(fmt, row)) + f"\n{pad}  ]"
+        lead = ",\n"
+    yield f"\n{pad}]"
+
+
+def _write_ball(ball: spx.BallPolytope, out, pad: str = "") -> None:
+    """Write ``ball`` as ``json.dump(..., indent=2)`` does, indented by ``pad`` (see README)."""
+    r, p = float.__repr__, pad + "  "
+    out.write(f'{pad}{{\n{p}"center": [\n{p}  ' + f",\n{p}  ".join(map(r, ball.center.weights))
+              + f'\n{p}],\n{p}"radius": {r(ball.radius)},\n{p}"theta_vertices": ')
+    out.writelines(_rows_json((v.coords for v in ball.theta_vertices), r, p))
+    out.write(f',\n{p}"simplex_vertices": ')
+    out.writelines(_rows_json((v.weights for v in ball.simplex_vertices), r, p))
+    out.write(f',\n{p}"halfspaces": ')
+    out.writelines(_rows_json(ball.halfspaces, "%d".__mod__, p))
+    out.write(f"\n{pad}}}")
 
 
 def _cmd_ball(args, out) -> int:
     center = normalize(_load(args.center, "vector"))
-    _emit_json(_ball_dict(spx.ball_vertices(center, args.radius)), out)
+    _write_ball(spx.ball_vertices(center, args.radius), out)
+    out.write("\n")
     return 0
 
 
@@ -176,7 +189,12 @@ def _cmd_tile(args, out) -> int:
     balls = spx.tile(center, args.radius, args.shells)
     with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(spx.render_svg(balls, spx.View.SIMPLEX_2D))
-    _emit_json([_ball_dict(b) for b in balls], out)
+    sep = "[\n"
+    for b in balls:  # one ball at a time, so a large tiling streams
+        out.write(sep)
+        _write_ball(b, out, "  ")
+        sep = ",\n"
+    out.write("\n]\n")
     return 0
 
 

@@ -162,12 +162,16 @@ def beta(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
     """Max ratio y[j]/x[j] over the support of x; Infinite when y escapes it.
 
     For ratios beyond float range, use :func:`log_beta` directly; this
-    function raises OverflowError rather than silently saturating.
+    function raises DomainError rather than silently saturating.
     """
     lb = log_beta(x, y)
     if lb is None:
         return INFINITE
-    return ExtendedDistance(math.exp(lb))
+    try:
+        b = math.exp(lb)
+    except OverflowError:
+        raise DomainError(f"beta = e^{lb!r} is past float range; use log_beta") from None
+    return ExtendedDistance(b)
 
 
 def osc(D) -> np.ndarray | float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, product
 
 import numpy as np
 
@@ -40,8 +41,10 @@ __all__ = [
     "render_svg",
 ]
 
-# Balls on S^13 have 16,382 vertices (~1.3 s, 9 MB of CLI JSON); each further
-# dimension doubles that, so larger ones are refused before any vertex is built.
+# Balls on S^13 have 16,382 vertices: 0.1-0.25 s to build and 0.2-0.6 s to write
+# 12 MB of CLI JSON (center 1..14, a shared 2-vCPU x86 host whose speed varies ~2x).
+# Each further dimension doubles that, so larger ones are refused before any vertex
+# is built.
 _MAX_BALL_DIM = 13
 
 
@@ -110,18 +113,27 @@ def theta_chart(mu: SimplexPoint, k: int) -> ThetaVector:
     return ThetaVector(k, coords)
 
 
-def theta_inverse(theta: ThetaVector) -> SimplexPoint:
-    """Softmax inverse of the chart, with an implicit 0 in slot ``chart_index``."""
-    k = theta.chart_index
-    full = list(theta.coords[:k]) + [0.0] + list(theta.coords[k:])
+def _softmax(full: tuple[float, ...]) -> tuple[float, ...]:
+    """exp(c - max) / fsum(...) over log-weights ``full``, by libm ``exp`` and ``fsum``."""
     hi = max(full)
     exps = [math.exp(c - hi) for c in full]
     total = math.fsum(exps)
-    weights = tuple(e / total for e in exps)
+    return tuple(e / total for e in exps)
+
+
+def _underflow(full: tuple[float, ...]) -> CoordinateRangeError:
+    return CoordinateRangeError(
+        f"coordinate spread {max(full) - min(full):.3g} underflows a softmax weight to 0"
+    )
+
+
+def theta_inverse(theta: ThetaVector) -> SimplexPoint:
+    """Softmax inverse of the chart, with an implicit 0 in slot ``chart_index``."""
+    k = theta.chart_index
+    full = (*theta.coords[:k], 0.0, *theta.coords[k:])
+    weights = _softmax(full)
     if 0.0 in weights:
-        raise CoordinateRangeError(
-            f"coordinate spread {hi - min(full):.3g} underflows a softmax weight to 0"
-        )
+        raise _underflow(full)
     return SimplexPoint(weights)
 
 
@@ -138,6 +150,34 @@ def hilbert_via_theta(mu: SimplexPoint, nu: SimplexPoint) -> float:
     return float(osc([0.0, *(p - q for p, q in zip(a, b))]))
 
 
+def _check_vertices(thetas: list[tuple[float, ...]],
+                    weights: list[tuple[float, ...]]) -> np.ndarray:
+    """The weights as an array, once the one-by-one vertex checks pass on the whole batch.
+
+    Those are ThetaVector's, theta_inverse's and SimplexPoint's.  If one fails,
+    the constructors find the first failing vertex and raise its error.
+    """
+    W = np.array(weights)
+    # min > 0 rules out nan (min propagates it), weights <= 0 and underflow to 0; a sum
+    # within 1e-12 of 1 rules out inf.  A non-finite coordinate fails too: +inf makes
+    # its softmax nan, -inf a weight 0.
+    if not (0.0 < W.min() and all(abs(math.fsum(w) - 1.0) <= 1e-12 for w in weights)):
+        for coords, w in zip(thetas, weights):
+            ThetaVector(0, coords)
+            if 0.0 in w:
+                raise _underflow((0.0, *coords))
+            SimplexPoint(w)
+    return W
+
+
+def _trusted(cls, **fields):
+    """A frozen dataclass instance built without ``__post_init__``, for fields already checked."""
+    obj = object.__new__(cls)
+    # object.__setattr__ per field is slower, and raised cli-small peak RSS ~1.2 MB.
+    obj.__dict__.update(fields)
+    return obj
+
+
 def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
     """The Hilbert ball of the given radius around nu as an explicit polytope.
 
@@ -152,25 +192,27 @@ def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
     if not radius > 0.0:
         raise ValidationError(f"radius must be > 0, got {radius!r}")
     base = theta_chart(nu, 0).coords
-    thetas: list[ThetaVector] = []
-    points: list[SimplexPoint] = []
+    thetas: list[tuple[float, ...]] = []
+    weights: list[tuple[float, ...]] = []
     for sign in (1, -1):
-        for mask in range(1, 2**n):
-            coords = tuple(
-                base[i] + sign * radius if mask >> i & 1 else base[i] for i in range(n)
-            )
-            tv = ThetaVector(0, coords)
-            thetas.append(tv)
-            points.append(theta_inverse(tv))
-    halfspaces = tuple(
-        (i, k, sign) for i in range(n + 1) for k in range(i + 1, n + 1) for sign in (1, -1)
-    )
-    ball = BallPolytope(nu, float(radius), tuple(thetas), tuple(points), halfspaces)
-    W = np.array([p.weights for p in points])
+        # float() as ThetaVector does, so a numpy radius yields the same Python floats.
+        moved = [float(b + sign * radius) for b in base]
+        # Coordinate i is moved when bit i of the mask is set.  product() varies its
+        # last factor fastest, so over reversed pairs it yields the masks in ascending order.
+        for rev in islice(product(*zip(base[::-1], moved[::-1])), 1, None):
+            coords = rev[::-1]
+            thetas.append(coords)
+            weights.append(_softmax((0.0, *coords)))
+    W = _check_vertices(thetas, weights)
     err = float(np.abs(osc(np.log(W) - np.log(nu.weights)) - radius).max())
     if err > 1e-9:
         raise ValidationError(f"vertex misses the sphere by {err:.3g}")
-    return ball
+    halfspaces = tuple(
+        (i, k, sign) for i in range(n + 1) for k in range(i + 1, n + 1) for sign in (1, -1)
+    )
+    tvs = tuple(_trusted(ThetaVector, chart_index=0, coords=c) for c in thetas)
+    pts = tuple(_trusted(SimplexPoint, weights=w) for w in weights)
+    return BallPolytope(nu, float(radius), tvs, pts, halfspaces)
 
 
 def ball_contains(nu: SimplexPoint, radius: float, mu: SimplexPoint) -> bool:

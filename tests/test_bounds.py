@@ -85,6 +85,14 @@ class TestTvFromT:
             rep = tv_from_t_bound(random_simplex(rng, n), random_simplex(rng, n))
             assert rep.holds
 
+    def test_sharpness_witness_at_float_range_edge(self):
+        # e^(R/2) is a float up to R ~ 1419.56, and the witness masses are subnormal there.
+        nu, mu = sharpness_witness(1419.5)
+        assert nu.full_support and mu.full_support
+        for r in (1419.6, 1500.0, 1e308):
+            with pytest.raises(DomainError, match="no interior witness"):
+                sharpness_witness(r)
+
     def test_sharpness(self):
         for r in (0.5, 1.0, 2.0, 4.0):
             nu, mu = sharpness_witness(r)
@@ -145,6 +153,15 @@ class TestVertexL1Bound:
     def test_boundary_center_rejected(self):
         with pytest.raises(DomainError):
             vertex_l1_bound(S((0.0, 1.0)), 1.0)
+
+    @pytest.mark.parametrize("r", [709.0, 709.5, 709.79, 800.0, 1e308, math.inf])
+    def test_finite_at_float_range_edge(self, r):
+        # 2(e^R - 1) overflows past R ~ 709.09 and e^R past ~ 709.78.  The bound
+        # tends to the max over subset sums s of 2 max(s, 1 - s), below 2 tanh(R/4).
+        for nu, limit in ((S((0.5, 0.5)), 1.0), (S((0.9, 0.1)), 1.8), (S((0.2, 0.3, 0.5)), 1.6)):
+            bound = vertex_l1_bound(nu, r)
+            assert bound == pytest.approx(limit, abs=1e-12)
+            assert bound <= 2.0 * math.tanh(r / 4.0) + 1e-12
 
 
 class TestKlDivergence:

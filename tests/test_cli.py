@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -15,9 +16,12 @@ from hilbertcone import (
     PositiveVector,
     SimplexPoint,
     ValidationError,
+    ball_vertices,
+    normalize,
+    tile,
 )
 from hilbertcone import contraction
-from hilbertcone.cli import parse_input, run_command
+from hilbertcone.cli import _write_ball, parse_input, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -316,6 +320,65 @@ class TestCleanErrors:
         assert "H=4.394449154672439" in err
 
 
+    @pytest.mark.parametrize("radius, message", [
+        ("inf", "theta coordinates must be finite"),
+        ("1e308", "coordinate spread 1e+308 underflows a softmax weight to 0"),
+        ("800", "coordinate spread 800 underflows a softmax weight to 0"),
+        ("730", "vertex misses the sphere by 7.2e-07"),
+    ])
+    def test_ball_past_float_range(self, tmp_path, capsys, radius, message):
+        c = write(tmp_path, "c.json", "[1, 1, 1]")
+        assert run(["ball", c, radius]) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _ball_dict(ball):
+    """A ball in the layout the CLI writes: the test oracle for its writer, with json.dumps."""
+    return {
+        "center": ball.center.weights,
+        "radius": ball.radius,
+        "theta_vertices": [v.coords for v in ball.theta_vertices],
+        "simplex_vertices": [v.weights for v in ball.simplex_vertices],
+        "halfspaces": ball.halfspaces,
+    }
+
+
+_centers = st.lists(st.floats(0.01, 100.0), min_size=2, max_size=9)  # S^1..S^8
+_radii = st.sampled_from(["1e-300", "1e-05", "0.1", "0.5", "2.5"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights=_centers, radius=_radii,
+       reprs=st.lists(st.sampled_from([1e-05, 1e16, 0.1, 12345.678, 5e-324]) | st.floats(
+           allow_nan=False, allow_infinity=False), max_size=3))
+def test_ball_writer_matches_json_dump(weights, radius, reprs):
+    with tempfile.TemporaryDirectory() as d:
+        c = Path(d, "c.json")
+        c.write_text(json.dumps(weights))
+        code, out = run(["ball", str(c), radius])
+    assert code == 0
+    ball = ball_vertices(normalize(PositiveVector(tuple(weights))), float(radius))
+    assert out == json.dumps(_ball_dict(ball), indent=2) + "\n"
+    # Radii whose repr the ball above cannot reach: 1e+16, 5e-324, a negative exponent.
+    for r in reprs:
+        buf = io.StringIO()
+        _write_ball(dataclasses.replace(ball, radius=r), buf)
+        assert buf.getvalue() == json.dumps(_ball_dict(ball) | {"radius": r}, indent=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(weights=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3),
+       radius=_radii, shells=st.integers(0, 3))
+def test_tile_writer_matches_json_dump(weights, radius, shells):
+    with tempfile.TemporaryDirectory() as d:
+        c = Path(d, "c.json")
+        c.write_text(json.dumps(weights))
+        code, out = run(["tile", str(c), radius, str(shells), "--svg", str(Path(d, "t.svg"))])
+    assert code == 0
+    balls = tile(normalize(PositiveVector(tuple(weights))), float(radius), shells)
+    assert out == json.dumps([_ball_dict(b) for b in balls], indent=2) + "\n"
+
+
 def _report_text(lhs_name, rhs_name, lhs, rhs, slack, applicable):
     return (f'  {{\n    "lhs_name": "{lhs_name}",\n    "rhs_name": "{rhs_name}",\n'
             f'    "lhs_value": {lhs},\n    "rhs_value": {rhs},\n    "slack": {slack},\n'
@@ -430,7 +493,7 @@ def _reject_constant(name):
     ),
     first=_documents,
     second=_documents,
-    radius=st.sampled_from(["0.5", "1e308", "0", "nan"]),
+    radius=st.sampled_from(["0.5", "1e308", "0", "nan", "inf", "800"]),
     count=st.sampled_from(["2", "0", "-1"]),
 )
 def test_any_document_ends_cleanly(command, first, second, radius, count):

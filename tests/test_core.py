@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hilbertcone import (
     DimensionError,
+    DomainError,
     INFINITE,
     LogDensityVector,
     PositiveVector,
@@ -49,6 +50,12 @@ class TestBeta:
         b = beta(V((1, 1)), V((2, 1)))
         assert b.value == pytest.approx(2.0, abs=1e-12)
         assert b.value == pytest.approx(beta_bisect(V((1, 1)), V((2, 1))), abs=1e-9)
+
+    def test_past_float_range(self):
+        # log beta = log(1.7e308) is within float range; log(1e300 / 1e-10) ~ 713.8 is not.
+        assert beta(V((1.0, 1.0)), V((1.7e308, 1.0))).value == pytest.approx(1.7e308, rel=1e-12)
+        with pytest.raises(DomainError, match="log_beta"):
+            beta(V((1e-10, 1.0)), V((1e300, 1.0)))
 
     def test_support_escape_is_infinite(self):
         assert beta(V((1, 0)), V((1, 1))) is INFINITE

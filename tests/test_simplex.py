@@ -1,6 +1,7 @@
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from hilbertcone import (
@@ -22,6 +23,7 @@ from hilbertcone import (
     theta_inverse,
     tile,
 )
+from hilbertcone.simplex import _check_vertices, _softmax, _underflow
 from conftest import random_simplex
 
 UNIFORM3 = SimplexPoint((1 / 3, 1 / 3, 1 / 3))
@@ -140,6 +142,45 @@ class TestBallVertices:
         with pytest.raises(DomainError):
             ball_vertices(UNIFORM3, 800.0)
 
+    @pytest.mark.parametrize("radius, error, message", [
+        (math.inf, ValidationError, "theta coordinates must be finite"),
+        (1e308, CoordinateRangeError, "coordinate spread 1e+308 underflows a softmax weight to 0"),
+        (800.0, CoordinateRangeError, "coordinate spread 800 underflows a softmax weight to 0"),
+        (730.0, ValidationError, "vertex misses the sphere by 7.2e-07"),
+    ])
+    def test_error_at_float_range_radius(self, radius, error, message):
+        with pytest.raises(error) as info:
+            ball_vertices(UNIFORM3, radius)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_first_failing_vertex_names_its_own_spread(self):
+        # Chart coordinates (0, 700): vertex 0, (50, 700), spreads 700; vertex 1,
+        # (0, 750), is the first whose softmax underflows.
+        nu = theta_inverse(ThetaVector(0, (0.0, 700.0)))
+        with pytest.raises(CoordinateRangeError) as info:
+            ball_vertices(nu, 50.0)
+        assert str(info.value) == "coordinate spread 750 underflows a softmax weight to 0"
+
+    # A float32 radius rounds the moved coordinates to float32, so only a center whose
+    # chart coordinates are 0 keeps its vertices on the sphere.
+    @pytest.mark.parametrize("uniform, radius", [
+        (False, 0.8), (False, np.float64(0.8)), (True, np.float32(0.8)),
+    ])
+    def test_vertices_are_the_checked_types(self, rng, uniform, radius):
+        # Built without their constructors' checks, the vertices still equal checked ones,
+        # also for a numpy radius: the moved coordinates are coerced as ThetaVector does.
+        nu = SimplexPoint((0.25,) * 4) if uniform else random_simplex(rng, 4)
+        ball = ball_vertices(nu, radius)
+        base = theta_chart(nu, 0).coords
+        assert ball.theta_vertices == tuple(
+            ThetaVector(0, [b + sign * radius if mask >> i & 1 else b for i, b in enumerate(base)])
+            for sign in (1, -1) for mask in range(1, 2 ** len(base))
+        )
+        for tv, p in zip(ball.theta_vertices, ball.simplex_vertices):
+            assert type(tv) is ThetaVector and tv == ThetaVector(0, tv.coords)
+            assert type(p) is SimplexPoint and p == theta_inverse(tv)
+            assert all(type(c) is float for c in (*tv.coords, *p.weights))
+
     def test_vertices_on_sphere(self, rng):
         for _ in range(20):
             nu = random_simplex(rng, int(rng.integers(2, 6)), spread=1.0)
@@ -181,6 +222,49 @@ class TestBallVertices:
                 ball.simplex_vertices[:-1],
                 ball.halfspaces,
             )
+
+
+def _one_by_one(coords, weights):
+    """The error the vertex constructors raise, one after another, or None."""
+    try:
+        ThetaVector(0, coords)
+        if 0.0 in weights:
+            raise CoordinateRangeError("underflow")
+        SimplexPoint(weights)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    except CoordinateRangeError as exc:
+        return type(exc), None
+    return None
+
+
+@pytest.mark.parametrize("coords, weights", [
+    ((0.5, -0.5), _softmax((0.0, 0.5, -0.5))),
+    ((math.inf, 0.0), _softmax((0.0, math.inf, 0.0))),
+    ((-math.inf, 0.0), _softmax((0.0, -math.inf, 0.0))),
+    ((0.5, -0.5), (0.5, 0.5, 0.0)),
+    ((0.5, -0.5), (0.5, -0.0, 0.5)),
+    ((0.5, -0.5), (0.5, math.nan, 0.5)),
+    ((0.5, -0.5), (0.5, math.inf, 0.5)),
+    ((0.5, -0.5), (0.6, 0.6, -0.2)),
+    ((0.5, -0.5), (0.5, 0.5, 1e-9)),
+], ids=["ok", "+inf-coord", "-inf-coord", "zero", "minus-zero", "nan", "inf", "negative",
+        "sum"])
+def test_batch_check_matches_the_one_by_one_checks(coords, weights):
+    # Vertex rows as the build makes them (weights = _softmax of the coordinates),
+    # and weight rows that fail one SimplexPoint check each.  The bad row sits
+    # between good ones, and the batch must raise the error of the bad row alone.
+    good = ((0.1, 0.2), _softmax((0.0, 0.1, 0.2)))
+    expected = _one_by_one(coords, weights)
+    try:
+        _check_vertices([good[0], coords, good[0]], [good[1], weights, good[1]])
+        got = None
+    except ValidationError as exc:
+        got = type(exc), str(exc)
+    except CoordinateRangeError as exc:
+        got = type(exc), None
+        assert str(exc) == str(_underflow((0.0, *coords)))
+    assert got == expected
 
 
 class TestBallContains:
@@ -265,6 +349,18 @@ class TestTile:
             tile(UNIFORM3, -1.0, 1)
         with pytest.raises(ValidationError):
             tile(UNIFORM3, 0.5, -1)
+
+    @pytest.mark.parametrize("chart, shells, error, message", [
+        ((300.0, 0.0), 2, CoordinateRangeError,
+         "coordinate spread 950 underflows a softmax weight to 0"),
+        ((300.0, 60.0), 1, ValidationError, "vertex misses the sphere by 0.00258"),
+    ])
+    def test_first_failure_in_ball_order(self, chart, shells, error, message):
+        # A later ball's center fails as well, with a smaller spread.  The error is
+        # the one of the first ball that fails, as when balls are built one by one.
+        with pytest.raises(error) as info:
+            tile(theta_inverse(ThetaVector(0, chart)), 250.0, shells)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def _ball_paths(svg):
