@@ -99,6 +99,8 @@ def atar_zeitouni_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
 
 
 def _g_plus(s: float, r: float) -> float:
+    if s == 1.0:  # the factor s(1 - s) is 0; past R ~ 37 the quotient below is 0/0
+        return 0.0
     try:
         e = math.exp(r)
     except OverflowError:

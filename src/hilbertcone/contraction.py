@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -256,7 +257,16 @@ class MarkovRun:
 
 def _unit_mass(row: np.ndarray) -> list[float]:
     """The weights normalize() gives for row, without building a SimplexPoint."""
-    return (row / math.fsum(row)).tolist()
+    return (row / math.fsum(row.tolist())).tolist()
+
+
+def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """mu_1, mu_2, ... of mu_{k+1} = mu_k P, each as an array and as its unit mass."""
+    cur = np.asarray(mu0.weights)
+    while True:
+        cur = cur @ P.entries
+        cur = cur / cur.sum()
+        yield cur, _unit_mass(cur)
 
 
 def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
@@ -264,7 +274,9 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
 
     The chain evolves as mu_{k+1} = mu_k P; the operator acting on measures
     is P^T on column vectors, and the cross-ratio minimum is transpose
-    invariant, so tau(P) certifies H(mu_k, pi) <= tau^k H(mu_0, pi).
+    invariant, so tau(P) certifies H(mu_k, pi) <= tau^k H(mu_0, pi).  pi is
+    the first iterate mu_K with H(mu_{K-1}, mu_K) < 1e-13; the one walk that
+    finds it also gives the table's rows, mu_1 .. mu_K kept and later ones made.
     """
     P = _as_matrix(P)
     if steps < 0:
@@ -277,28 +289,25 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
 
     tau = birkhoff_tau(P)
 
-    cur = np.asarray(mu0.weights)
-    for _ in range(100_000):
-        nxt = cur @ P.entries
-        nxt = nxt / nxt.sum()
-        h = _hilbert_weights(_unit_mass(cur), _unit_mass(nxt))
-        cur = nxt
+    walk = _iterates(mu0, P)
+    prev, kept = _unit_mass(np.asarray(mu0.weights)), []
+    for k, (cur, mass) in enumerate(islice(walk, 100_000), 1):
+        h = _hilbert_weights(prev, mass)
+        if k <= steps:
+            kept.append(mass)
         if h < 1e-13:
             break
+        prev = mass
     else:
         raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
     pi = normalize(PositiveVector(tuple(cur)))
 
     h0 = float(hilbert_distance(mu0, pi))
     pw = list(pi.weights)
+    later = (mass for _, mass in islice(walk, steps - len(kept)))
     rows: list[MarkovStep] = []
-    arr, mw, hk = np.asarray(mu0.weights), list(mu0.weights), h0
-    for k in range(steps + 1):
-        if k:
-            arr = arr @ P.entries
-            arr = arr / arr.sum()
-            mw = _unit_mass(arr)
-            hk = _hilbert_weights(mw, pw)
+    for k, mw in enumerate(chain([list(mu0.weights)], kept, later)):
+        hk = _hilbert_weights(mw, pw) if k else h0
         if math.isinf(h0):
             # 0 * inf: a rank-one chain hits pi exactly after one step.
             bound = math.inf if (tau > 0.0 or k == 0) else 0.0

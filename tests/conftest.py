@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hilbertcone import PositiveVector, SimplexPoint
+
+# Hypothesis imports this module to report a failing example.  Its import warns
+# (mypy_extensions.TypedDict is deprecated), and under filterwarnings = error that
+# warning would abort the run with INTERNALERROR instead of naming the failure.
+# Imported here once, the module is cached before any test runs.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -163,6 +163,14 @@ class TestVertexL1Bound:
             assert bound == pytest.approx(limit, abs=1e-12)
             assert bound <= 2.0 * math.tanh(r / 4.0) + 1e-12
 
+    @pytest.mark.parametrize("r", [40.0, 709.0, math.inf])
+    def test_subset_sum_of_exactly_one(self, r):
+        # The weights past index 0 sum to 1.0 in floats, where g_R^+ has the factor
+        # s(1 - s) = 0; 1 + s e^-R - s rounds to 0 there, so the quotient would be 0/0.
+        bound = vertex_l1_bound(S((1e-17, 0.5, 0.5)), r)
+        assert bound == pytest.approx(1.0, abs=1e-12)
+        assert bound <= 2.0 * math.tanh(r / 4.0) + 1e-12
+
 
 class TestKlDivergence:
     def test_hand_value(self):

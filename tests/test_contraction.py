@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from hilbertcone import (
+    CertificationError,
     DimensionError,
+    DomainError,
     GridKernel,
+    HilbertConeError,
+    MarkovRun,
+    MarkovStep,
     NonnegMatrix,
     PositiveVector,
     SimplexPoint,
@@ -23,6 +28,8 @@ from hilbertcone import (
     t_distance,
     verify_contraction,
 )
+from hilbertcone import contraction
+from hilbertcone.core import _hilbert_weights
 from conftest import random_allowable, random_positive, random_simplex
 
 
@@ -303,6 +310,79 @@ class TestVerifyContraction:
             assert birkhoff_tau(a @ b) <= birkhoff_tau(a) * birkhoff_tau(b) + 1e-10
 
 
+def markov_two_walks(P, mu0, steps):
+    """The two-walk markov_converge: find pi from mu0, then walk again for the table.
+
+    Reference for the one-walk version, which must give the same bits.  Also
+    returns K, the step at which the stationary search stopped.
+    """
+    P = NonnegMatrix(np.asarray(P, dtype=float))
+    tau = contraction.birkhoff_tau(P)
+
+    def unit_mass(row):
+        return (row / math.fsum(row)).tolist()
+
+    cur = np.asarray(mu0.weights)
+    for K in range(1, 100_001):
+        nxt = cur @ P.entries
+        nxt = nxt / nxt.sum()
+        h = _hilbert_weights(unit_mass(cur), unit_mass(nxt))
+        cur = nxt
+        if h < 1e-13:
+            break
+    else:
+        raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
+    pi = normalize(PositiveVector(tuple(cur)))
+
+    h0 = float(hilbert_distance(mu0, pi))
+    pw = list(pi.weights)
+    rows = []
+    arr, mw, hk = np.asarray(mu0.weights), list(mu0.weights), h0
+    for k in range(steps + 1):
+        if k:
+            arr = arr @ P.entries
+            arr = arr / arr.sum()
+            mw = unit_mass(arr)
+            hk = _hilbert_weights(mw, pw)
+        if math.isinf(h0):
+            bound = math.inf if (tau > 0.0 or k == 0) else 0.0
+        else:
+            bound = (tau**k) * h0
+        if math.isfinite(bound) and hk > bound + 1e-9:
+            raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
+        tv = sum(abs(a - b) for a, b in zip(mw, pw))
+        rows.append(MarkovStep(k, hk, math.tanh(hk / 4.0), tv, bound))
+    return MarkovRun(tuple(rows), pi, tau, nonexpansive_only=(tau >= 1.0)), K
+
+
+def run_bits(run):
+    """Every float of a MarkovRun as float.hex, for bit-for-bit comparison."""
+    rows = [[v.hex() if isinstance(v, float) else v for v in row] for row in run.steps]
+    return rows, [w.hex() for w in run.stationary.weights], run.tau.hex(), run.nonexpansive_only
+
+
+def outcome(run):
+    """run_bits of run(), or the class and text of the error it raises."""
+    try:
+        return run_bits(run())
+    except HilbertConeError as exc:
+        return type(exc), str(exc)
+
+
+def random_chain(rng, n):
+    """A row-stochastic chain with a stationary distribution, of one of three kinds."""
+    kind = rng.integers(3)
+    a = random_allowable(rng, n, zero_frac=0.3 if kind == 1 else 0.0)
+    if kind == 1:  # a positive diagonal and n-cycle: irreducible and aperiodic
+        i = np.arange(n)
+        for j in (i, (i + 1) % n):
+            a[i, j] = np.maximum(a[i, j], 0.05)
+    p = a / a.sum(axis=1, keepdims=True)
+    if kind == 2:  # a lazy chain, which mixes slowly
+        p = 0.7 * np.eye(n) + 0.3 * p
+    return p
+
+
 class TestMarkovConverge:
     def test_rank_one_chain(self):
         run = markov_converge([[0.5, 0.5], [0.5, 0.5]], SimplexPoint((0.9, 0.1)), 3)
@@ -373,6 +453,34 @@ class TestMarkovConverge:
                 arr = arr @ p
                 arr = arr / arr.sum()
                 mu = normalize(PositiveVector(tuple(arr)))
+
+    def test_one_walk_matches_two_walks_bit_for_bit(self, rng):
+        seen = set()
+        for case in range(500):
+            n = int(rng.integers(20, 81) if case % 50 == 0 else rng.integers(2, 9))
+            p = random_chain(rng, n)
+            w = np.exp(rng.uniform(-3.0, 3.0, size=n))
+            if case % 5 == 0:
+                w[rng.integers(n)] = 0.0  # mu0 on a face
+            mu0 = normalize(PositiveVector(tuple(w)))
+            K = markov_two_walks(p, mu0, 0)[1]
+            steps = int(rng.choice([0, K - 1, K, K + 1, K + 30, rng.integers(0, 81)]))
+            seen.add((steps > K) - (steps < K))
+            want = outcome(lambda: markov_two_walks(p, mu0, steps)[0])
+            assert outcome(lambda: markov_converge(p, mu0, steps)) == want, case
+        assert seen == {-1, 0, 1}
+
+    def test_one_walk_matches_two_walks_on_errors(self, monkeypatch):
+        periodic, chain = [[0.0, 1.0], [1.0, 0.0]], [[0.75, 0.25], [0.25, 0.75]]
+        mu0 = SimplexPoint((0.9, 0.1))
+        want = outcome(lambda: markov_two_walks(periodic, mu0, 5)[0])
+        assert want[0] is DomainError and "H=4.394449154672439" in want[1]
+        assert outcome(lambda: markov_converge(periodic, mu0, 5)) == want
+        # A forced tau = 0 claims pi is reached in one step, false for this chain.
+        monkeypatch.setattr(contraction, "birkhoff_tau", lambda P: 0.0)
+        want = outcome(lambda: markov_two_walks(chain, mu0, 5)[0])
+        assert want[0] is CertificationError
+        assert outcome(lambda: markov_converge(chain, mu0, 5)) == want
 
     def test_infinite_start_bound_is_vacuous(self):
         run = markov_converge([[0.75, 0.25], [0.25, 0.75]], SimplexPoint((1.0, 0.0)), 3)

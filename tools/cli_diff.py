@@ -54,16 +54,25 @@ def make_ops(rng, count: int, work: Path) -> list[list[str]]:
     def vec(n: int, zeros: float = 0.2) -> list[float]:
         return np.where(rng.random(n) < zeros, 0.0, rng.lognormal(0.0, 2.0, n)).tolist()
 
-    def chain(n: int) -> list[list[float]]:  # positive, so the stationary search ends quickly
+    def chain(n: int) -> list[list[float]]:  # 20% with zeros, off a positive diagonal and n-cycle
         p = rng.uniform(0.05, 1.0, (n, n))
+        if rng.random() < 0.2:  # the kept entries make the chain irreducible and aperiodic
+            keep = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+            p[(rng.random((n, n)) < 0.3) & ~keep] = 0.0
         return (p / p.sum(axis=1, keepdims=True)).tolist()
+
+    def start(n: int) -> list[float]:  # 20% on a face of the simplex
+        w = vec(n, 0.0)
+        if rng.random() < 0.2:
+            w[rng.integers(n)] = 0.0
+        return w
 
     args = {
         "dist": lambda n: [doc(vec(n)), doc(vec(n + (rng.random() < 0.1)))],
         "tau": lambda n: [doc([vec(n, 0.1) for _ in range(n)])],
         "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", "20"],
         "tau-kernel": lambda n: [doc(rng.normal(0.0, 2.0, (n, n + 1)).tolist())],
-        "markov": lambda n: [doc(chain(n)), doc(vec(n, 0.0)), rng.integers(0, 30)],
+        "markov": lambda n: [doc(chain(n)), doc(start(n)), rng.integers(0, 81)],
         "ball": lambda n: [doc(vec(n + int(rng.integers(0, 3)), 0.05)), rng.choice(RADII)],
         "tile": lambda n: [doc(vec(3 + (rng.random() < 0.05), 0.05)), rng.choice(RADII),
                            rng.integers(-1, 4), "--svg", "t.svg"],
