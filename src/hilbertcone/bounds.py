@@ -3,6 +3,14 @@
 Every comparison is packaged as a :class:`BoundReport` with a fixed 1e-10
 absolute tolerance.  Total variation uses the factor-2 (ell^1) convention, so
 ``sup_A |mu(A) - nu(A)| = tv / 2``.
+
+Each public function is a thin wrapper over a private form that takes the
+pair's weights as arrays ``m``, ``v`` (KL: the weight tuples) and its
+``h = H(mu, nu)`` or ``tv``, so that a caller evaluating several reports
+computes each once.  The private forms keep the scalar arithmetic's bits:
+element-wise ``+ - * / abs`` run in numpy, sums go through ``math.fsum``
+(exact in any order) or a sequential ``np.cumsum``, and ``log``, ``tanh``,
+``expm1`` and ``**`` stay on libm.
 """
 
 from __future__ import annotations
@@ -10,14 +18,18 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import mul, sub
+
+import numpy as np
 
 from .core import (
     ExtendedDistance,
     INFINITE,
     SimplexPoint,
     _check_lengths,
+    _t,
     hilbert_distance,
-    t_distance,
 )
 from .errors import CertificationError, DimensionError, DomainError, ValidationError
 from .simplex import theta_chart, theta_inverse, ThetaVector
@@ -76,41 +88,62 @@ def _expm1(h: float) -> float:
         return math.inf
 
 
+def _arrays(mu: SimplexPoint, nu: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of mu and nu as float arrays, after the length check."""
+    _check_lengths(mu, nu)
+    return np.array(mu.weights), np.array(nu.weights)
+
+
+def _h(mu: SimplexPoint, nu: SimplexPoint) -> float:
+    return float(hilbert_distance(mu, nu))
+
+
+def _tv(m: np.ndarray, v: np.ndarray) -> float:
+    return math.fsum(np.abs(m - v).tolist())
+
+
 def tv_distance(mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Total variation with the factor-2 convention: the ell^1 distance, in [0, 2]."""
-    _check_lengths(mu, nu)
-    return math.fsum(abs(a - b) for a, b in zip(mu.weights, nu.weights))
+    return _tv(*_arrays(mu, nu))
+
+
+def _tv_from_t(tv: float, h: float) -> BoundReport:
+    return _report("tv", tv, "2*tanh(H/4)", 2.0 * _t(h))
 
 
 def tv_from_t_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """The sharp bound tv <= 2 tanh(H/4); holds for every pair."""
-    return _report("tv", tv_distance(mu, nu), "2*tanh(H/4)", 2.0 * t_distance(mu, nu))
+    return _tv_from_t(tv_distance(mu, nu), _h(mu, nu))
+
+
+def _atar_zeitouni(tv: float, h: float) -> BoundReport:
+    rhs = (2.0 / math.log(3.0)) * h
+    if 2.0 * _t(h) > min(2.0, rhs) + 1e-12:
+        raise CertificationError("tanh bound failed to dominate the linear bound")
+    return _report("tv", tv, "(2/log3)*H", rhs, applicable=h < math.inf)
 
 
 def atar_zeitouni_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """The older linear bound tv <= (2/log 3) * H; inapplicable when H is infinite."""
-    tv = tv_distance(mu, nu)
-    h = hilbert_distance(mu, nu)
-    rhs = (2.0 / math.log(3.0)) * h.value
-    sharp = 2.0 * math.tanh(h.value / 4.0)
-    if sharp > min(2.0, rhs) + 1e-12:
-        raise CertificationError("tanh bound failed to dominate the linear bound")
-    return _report("tv", tv, "(2/log3)*H", rhs, applicable=h.is_finite)
+    return _atar_zeitouni(tv_distance(mu, nu), _h(mu, nu))
 
 
-def _g_plus(s: float, r: float) -> float:
-    if s == 1.0:  # the factor s(1 - s) is 0; past R ~ 37 the quotient below is 0/0
-        return 0.0
+def _g_plus(s: float, c: float, r: float) -> float:
+    """g_R^+ at subset sum s with complementary mass c: 2 (e^R - 1) s c / (c + s e^R).
+
+    Every term of the denominator is >= 0, so nothing cancels, and c > 0 for an
+    interior center.
+    """
     try:
         e = math.exp(r)
     except OverflowError:
         e = math.inf
-    g = 2.0 * (e - 1.0) * s * (1.0 - s) / (1.0 + s * e - s)
+    g = 2.0 * (e - 1.0) * s * c / (c + s * e)
     if math.isfinite(g):
         return g
     # Near float range the terms overflow; divided by e^r they do not.
     q = math.exp(-r)
-    return 2.0 * (1.0 - q) * s * (1.0 - s) / (q * (1.0 - s) + s)
+    return 2.0 * (1.0 - q) * s * c / (q * c + s)
 
 
 def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
@@ -124,29 +157,38 @@ def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
         raise DomainError("vertex bound requires an interior center")
     if not radius > 0.0:
         raise ValidationError(f"radius must be > 0, got {radius!r}")
-    n = len(nu) - 1
+    ws = nu.weights
     best = 0.0
-    for mask in range(1, 2**n):
-        s = math.fsum(nu.weights[i + 1] for i in range(n) if mask >> i & 1)
-        best = max(best, _g_plus(s, radius), -_g_plus(s, -radius))
+    for mask in range(2, 2 ** len(ws), 2):  # bit i: index i is in the subset; 0 never is
+        s = math.fsum(w for i, w in enumerate(ws) if mask >> i & 1)
+        c = math.fsum(w for i, w in enumerate(ws) if not mask >> i & 1)
+        best = max(best, _g_plus(s, c, radius), -_g_plus(s, c, -radius))
     return best
+
+
+def _kl(mw: Sequence[float], nw: Sequence[float]) -> ExtendedDistance:
+    # On the weight tuples: the libm logs cost the same either way, and small
+    # vectors skip numpy's per-call cost.  A weight w >= 0 is true iff w > 0.
+    if not all(compress(nw, mw)):
+        return INFINITE
+    ms, vs = list(compress(mw, mw)), list(compress(nw, mw))
+    val = math.fsum(map(mul, ms, map(sub, map(math.log, ms), map(math.log, vs))))
+    return ExtendedDistance(max(val, 0.0))
 
 
 def kl_divergence(mu: SimplexPoint, nu: SimplexPoint) -> ExtendedDistance:
     """Relative entropy of mu w.r.t. nu; Infinite when mu escapes nu's support."""
     _check_lengths(mu, nu)
-    if not mu.support <= nu.support:
-        return INFINITE
-    val = math.fsum(
-        m * (math.log(m) - math.log(v)) for m, v in zip(mu.weights, nu.weights) if m > 0.0
-    )
-    return ExtendedDistance(max(val, 0.0))
+    return _kl(mu.weights, nu.weights)
+
+
+def _kl_from_h(kl: float, h: float) -> BoundReport:
+    return _report("KL", kl, "H", h, applicable=h < math.inf)
 
 
 def kl_from_h_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """KL(mu || nu) <= H(mu, nu); inapplicable when H is infinite."""
-    h = hilbert_distance(mu, nu)
-    return _report("KL", float(kl_divergence(mu, nu)), "H", float(h), applicable=h.is_finite)
+    return _kl_from_h(float(kl_divergence(mu, nu)), _h(mu, nu))
 
 
 @dataclass(frozen=True)
@@ -214,37 +256,52 @@ def f_divergence(mu: SimplexPoint, nu: SimplexPoint, f: ConvexFunctionSpec) -> f
     return val
 
 
-def _check_support_points(support_points: Sequence[float], k: int) -> list[float]:
-    xs = [float(x) for x in support_points]
+def _check_support_points(support_points: Sequence[float], k: int) -> np.ndarray:
+    xs = np.array(list(map(float, support_points)))
     if len(xs) != k:
         raise DimensionError(f"{len(xs)} support points for measures of length {k}")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if (xs[1:] <= xs[:-1]).any():
         raise ValidationError("support points must be strictly increasing")
     return xs
 
 
+def _w1(xs: np.ndarray, m: np.ndarray, v: np.ndarray) -> float:
+    # Both running sums stay sequential, as in a loop: np.cumsum, never np.sum.
+    cdf_gap = np.cumsum((m - v)[:-1])
+    return float(np.cumsum(np.abs(cdf_gap) * np.diff(xs))[-1])
+
+
 def w1_exact_1d(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Exact 1-D Wasserstein-1 distance: integral of the CDF gap."""
-    _check_lengths(mu, nu)
-    xs = _check_support_points(support_points, len(mu))
-    total = 0.0
-    cdf_gap = 0.0
-    for i in range(len(xs) - 1):
-        cdf_gap += mu.weights[i] - nu.weights[i]
-        total += abs(cdf_gap) * (xs[i + 1] - xs[i])
-    return total
+    m, v = _arrays(mu, nu)
+    return _w1(_check_support_points(support_points, len(mu)), m, v)
+
+
+def _w1_bound(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, h: float) -> BoundReport:
+    lhs = _w1(xs, m, v)
+    if h == math.inf:
+        return _report("W1", lhs, "(e^H-1)*m1(mu)", math.inf, applicable=False)
+    moment = math.fsum((np.abs(xs - x0) * m).tolist())
+    return _report("W1", lhs, "(e^H-1)*m1(mu)", _expm1(h) * moment)
 
 
 def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint,
                     x0: float) -> BoundReport:
     """W1 <= (e^H - 1) * first moment of mu around x0."""
-    lhs = w1_exact_1d(support_points, mu, nu)
-    h = hilbert_distance(mu, nu)
-    if h.infinite:
-        return _report("W1", lhs, "(e^H-1)*m1(mu)", math.inf, applicable=False)
-    xs = [float(x) for x in support_points]
-    moment = math.fsum(abs(x - x0) * w for x, w in zip(xs, mu.weights))
-    return _report("W1", lhs, "(e^H-1)*m1(mu)", _expm1(h.value) * moment)
+    m, v = _arrays(mu, nu)
+    xs = _check_support_points(support_points, len(mu))
+    return _w1_bound(xs, m, v, x0, _h(mu, nu))
+
+
+def _moment_gap(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, q: float,
+                moment_of: str, h: float) -> BoundReport:
+    dq = np.array(list(map(pow, np.abs(xs - x0).tolist(), repeat(q))))  # |x - x0|**q on libm
+    lhs = abs(math.fsum((dq * (m - v)).tolist()))
+    lhs_name, name = f"|moment-gap q={q:g}|", f"K_{q:g}({moment_of})*(e^H-1)"
+    if h == math.inf:
+        return _report(lhs_name, lhs, name, math.inf, applicable=False)
+    k_q = math.fsum((dq * (m if moment_of == "mu" else v)).tolist())
+    return _report(lhs_name, lhs, name, k_q * _expm1(h))
 
 
 def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint,
@@ -256,37 +313,36 @@ def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: Simp
     """
     if moment_of not in ("mu", "nu"):
         raise ValidationError(f"moment_of must be 'mu' or 'nu', got {moment_of!r}")
-    _check_lengths(mu, nu)
+    m, v = _arrays(mu, nu)
     xs = _check_support_points(support_points, len(mu))
-    h = hilbert_distance(mu, nu)
-    lhs = abs(math.fsum(
-        abs(x - x0) ** q * (m - v) for x, m, v in zip(xs, mu.weights, nu.weights)
-    ))
-    name = f"K_{q:g}({moment_of})*(e^H-1)"
-    if h.infinite:
-        return _report(f"|moment-gap q={q:g}|", lhs, name, math.inf, applicable=False)
-    ref = mu if moment_of == "mu" else nu
-    k_q = math.fsum(abs(x - x0) ** q * w for x, w in zip(xs, ref.weights))
-    return _report(f"|moment-gap q={q:g}|", lhs, name, k_q * _expm1(h.value))
+    return _moment_gap(xs, m, v, x0, q, moment_of, _h(mu, nu))
+
+
+def _t_upper_from_tv(m: np.ndarray, v: np.ndarray, tv: float, h: float) -> BoundReport:
+    if not (m.all() and v.all()):  # full support on both sides
+        return _report("T", _t(h), "tv/(4*min-mass)", math.inf, applicable=False)
+    min_mass = float(min(m.min(), v.min()))
+    return _report("T", _t(h), "tv/(4*min-mass)", (tv / 2.0) / (2.0 * min_mass))
 
 
 def t_upper_from_tv(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """T <= (tv/2) / (2 * min single-atom mass); needs full support on both sides."""
-    _check_lengths(mu, nu)
-    lhs = t_distance(mu, nu)
-    if not (mu.full_support and nu.full_support):
-        return _report("T", lhs, "tv/(4*min-mass)", math.inf, applicable=False)
-    min_mass = min(min(mu.weights), min(nu.weights))
-    rhs = (tv_distance(mu, nu) / 2.0) / (2.0 * min_mass)
-    return _report("T", lhs, "tv/(4*min-mass)", rhs)
+    m, v = _arrays(mu, nu)
+    return _t_upper_from_tv(m, v, _tv(m, v), _h(mu, nu))
+
+
+def _subset_sup(m: np.ndarray, v: np.ndarray, h: float) -> BoundReport:
+    # m > v is m - v > 0 for finite floats (subtraction underflows gradually),
+    # and v - m == -(m - v) exactly.
+    d = m - v
+    gap = max(math.fsum(d[d > 0.0].tolist()), math.fsum((-d[d < 0.0]).tolist()))
+    return _report("sup_A |mu(A)-nu(A)|", gap, "T", _t(h))
 
 
 def subset_sup_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """sup over index subsets of the mass gap (= tv/2) is at most T."""
-    _check_lengths(mu, nu)
-    pos = math.fsum(m - v for m, v in zip(mu.weights, nu.weights) if m > v)
-    neg = math.fsum(v - m for m, v in zip(mu.weights, nu.weights) if v > m)
-    return _report("sup_A |mu(A)-nu(A)|", max(pos, neg), "T", t_distance(mu, nu))
+    m, v = _arrays(mu, nu)
+    return _subset_sup(m, v, _h(mu, nu))
 
 
 def sharpness_witness(radius: float) -> tuple[SimplexPoint, SimplexPoint]:

@@ -23,14 +23,7 @@ import numpy as np
 from . import bounds as bnd
 from . import contraction as ctr
 from . import simplex as spx
-from .core import (
-    ExtendedDistance,
-    PositiveVector,
-    comparable,
-    hilbert_distance,
-    normalize,
-    t_distance,
-)
+from .core import ExtendedDistance, PositiveVector, _t, hilbert_distance, normalize
 from .errors import HilbertConeError, ValidationError
 
 __all__ = ["parse_input", "run_command", "main"]
@@ -46,9 +39,10 @@ def _number_rows(rows) -> list[list[float]]:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(f"ragged array: row {i} has {len(row)} entries, expected {width}")
-        for j, v in enumerate(row):
-            if not isinstance(v, float):  # numpy would coerce a bool or a numeric string
-                raise ValidationError(f"entry at ({i}, {j}) is not a number: {v!r}")
+        if not set(map(type, row)) <= {float}:  # checked in bulk; the loop names the entry
+            for j, v in enumerate(row):
+                if not isinstance(v, float):  # numpy would coerce a bool or a numeric string
+                    raise ValidationError(f"entry at ({i}, {j}) is not a number: {v!r}")
     return rows
 
 
@@ -123,13 +117,14 @@ def _emit_json(obj, out) -> None:
 def _cmd_dist(args, out) -> int:
     a, b = _load(args.a, "vector"), _load(args.b, "vector")
     mu, nu = normalize(a), normalize(b)
+    h = hilbert_distance(a, b)
     _emit_json(
         {
-            "hilbert": hilbert_distance(a, b),
-            "t": t_distance(a, b),
+            "hilbert": h,
+            "t": _t(float(h)),
             "tv": bnd.tv_distance(mu, nu),
             "kl": bnd.kl_divergence(mu, nu),
-            "comparable": comparable(a, b),
+            "comparable": h.is_finite,  # H is finite exactly when the supports agree
         },
         out,
     )
@@ -210,16 +205,20 @@ def _cmd_markov(args, out) -> int:
 
 def _cmd_bounds(args, out) -> int:
     mu, nu = normalize(_load(args.a, "vector")), normalize(_load(args.b, "vector"))
-    xs = [float(i) for i in range(len(mu))]
+    # The public bound functions, with H and tv computed once for all eight.
+    h = float(hilbert_distance(mu, nu))
+    m, v = bnd._arrays(mu, nu)
+    tv = bnd._tv(m, v)
+    xs = np.arange(float(len(mu)))
     reports = [
-        bnd.tv_from_t_bound(mu, nu),
-        bnd.atar_zeitouni_bound(mu, nu),
-        bnd.subset_sup_bound(mu, nu),
-        bnd.t_upper_from_tv(mu, nu),
-        bnd.w1_bound_from_h(xs, mu, nu, xs[0]),
-        bnd.moment_gap_bound(xs, mu, nu, xs[0], 1),
-        bnd.moment_gap_bound(xs, mu, nu, xs[0], 2),
-        bnd.kl_from_h_bound(mu, nu),
+        bnd._tv_from_t(tv, h),
+        bnd._atar_zeitouni(tv, h),
+        bnd._subset_sup(m, v, h),
+        bnd._t_upper_from_tv(m, v, tv, h),
+        bnd._w1_bound(xs, m, v, xs[0], h),
+        bnd._moment_gap(xs, m, v, xs[0], 1, "mu", h),
+        bnd._moment_gap(xs, m, v, xs[0], 2, "mu", h),
+        bnd._kl_from_h(float(bnd._kl(mu.weights, nu.weights)), h),
     ]
     # Only a report's lhs_value, rhs_value and slack can be inf, written as the string "inf".
     rows = [{k: "inf" if v == math.inf else v for k, v in vars(r).items()} for r in reports]

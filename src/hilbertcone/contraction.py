@@ -8,7 +8,12 @@ minimal cross-ratio ``phi(A) = min A[i,k]*A[j,l] / (A[j,k]*A[i,l])``.  With
 
 the projective diameter, which stays tractable for n in the thousands; the
 exhaustive O(n^4) scan is kept only as a test oracle.  Each matrix or kernel
-runs the pass once and caches it.  The zero conventions (0/0 -> 1,
+runs the pass once and caches it.  The pass is an exact branch and bound: the
+rows are sorted by descending oscillation ``hi - lo``, and a pair is skipped
+only when the float bound ``fl(fl(hi_i - lo_j) - fl(lo_i - hi_j))``, which
+rounding cannot push below ``osc(L_i - L_j)``, is at most the best value so
+far, so the result is the unpruned maximum bit for bit.  A matrix small enough
+for one block (square n <= 40) skips the sort.  The zero conventions (0/0 -> 1,
 0/positive -> 0) are resolved before taking any logarithm: for an allowable
 matrix a single zero entry already forces phi = 0.
 """
@@ -122,6 +127,9 @@ class GridKernel:
         for name, arr in (("log kernel values", lv), ("a_grid", ag), ("x_grid", xg)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} must be finite")
+        # Then no difference of two log values overflows in the diameter pass.
+        if not math.isfinite(float(lv.max()) - float(lv.min())):
+            raise ValidationError("log kernel values must span a finite range (max - min)")
         if not (np.diff(ag) > 0).all() or not (np.diff(xg) > 0).all():
             raise ValidationError("grids must be strictly increasing")
         for name, arr in (("log_values", lv), ("a_grid", ag), ("x_grid", xg)):
@@ -140,12 +148,31 @@ class GridKernel:
 def _pairwise_diameter(L: np.ndarray) -> float:
     """max over row pairs i < j of osc(L[i] - L[j]): -log phi of exp(L), never -0.0."""
     m, p = L.shape
-    # Rows [i, i+b) against rows >= i, about 2**16 differences (512 KB) a block:
+    # Rows [i, i+b) against later rows, about 2**16 differences (512 KB) a block:
     # amortises numpy's per-call cost on small matrices, one row at a time on
-    # large ones.  Pairs seen twice give the same value.
+    # large ones.  osc(L[i] - L[j]) == osc(L[j] - L[i]) bit for bit.
     b = max(1, (1 << 16) // (m * p))
-    blocks = (osc(L[i:i + b, None, :] - L[None, i:, :]).max() for i in range(0, m - 1, b))
-    return float(max(blocks, default=0.0))
+    if b >= m - 1:  # one block: nothing to prune, so no sort and no bounds
+        return float(osc(L[:b, None, :] - L[None, :, :]).max()) if m > 1 else 0.0
+    # The bound is exact: L[i,k] - L[j,k] <= hi[i] - lo[j] for every k, and float
+    # rounding is monotone, so every float difference lies between
+    # fl(lo[i] - hi[j]) and fl(hi[i] - lo[j]), and osc(L[i] - L[j]) <=
+    # fl(fl(hi[i] - lo[j]) - fl(lo[i] - hi[j])).  A pair is skipped only when
+    # that bound is <= the best value so far, so the maximum over the pairs
+    # evaluated is the maximum over all pairs, bit for bit.
+    hi, lo = L.max(axis=1), L.min(axis=1)
+    # Descending hi - lo (stable), so that the later rows whose bound beats the
+    # best value form a prefix, up to rounding: a block runs to the last of them.
+    order = np.argsort(lo - hi, kind="stable")
+    L, hi, lo = L[order], hi[order], lo[order]
+    best = 0.0
+    for i in range(0, m - 1, b):
+        bound = (hi[i:i + b, None] - lo[None, i:]) - (lo[i:i + b, None] - hi[None, i:])
+        beats = np.flatnonzero((bound > best).any(axis=0))
+        if beats.size:
+            k = i + int(beats[-1]) + 1
+            best = max(best, float(osc(L[i:i + b, None, :] - L[None, i:k, :]).max()))
+    return best
 
 
 def _tau(d: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import truediv
 
 import numpy as np
@@ -86,23 +86,27 @@ class PositiveVector:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(float(w) for w in self.weights)
+        ws = tuple(map(float, self.weights))
         if len(ws) < 2:
             raise ValidationError("vector needs at least 2 components")
-        for i, w in enumerate(ws):
-            if math.isnan(w) or not math.isfinite(w) or w < 0.0:
-                raise ValidationError(f"weight at index {i} must be finite and >= 0, got {w!r}")
-        if not any(w > 0.0 for w in ws):
+        # Checked in bulk; the loop only names the first bad weight.
+        if not (all(map(math.isfinite, ws)) and min(ws) >= 0.0):
+            for i, w in enumerate(ws):
+                if math.isnan(w) or not math.isfinite(w) or w < 0.0:
+                    raise ValidationError(f"weight at index {i} must be finite and >= 0, got {w!r}")
+        if not max(ws) > 0.0:
             raise ValidationError("at least one weight must be strictly positive")
         object.__setattr__(self, "weights", ws)
 
+    # For a weight w >= 0, bool(w) is w > 0 (-0.0 included), so 0.0 in weights is
+    # the test for a zero weight.
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, w in enumerate(self.weights) if w > 0.0)
+        return frozenset(compress(range(len(self.weights)), self.weights))
 
     @property
     def full_support(self) -> bool:
-        return all(w > 0.0 for w in self.weights)
+        return 0.0 not in self.weights
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -182,8 +186,8 @@ def osc(D) -> np.ndarray | float:
 
 def _hilbert_weights(xw: Sequence[float], yw: Sequence[float]) -> float:
     """H between equal-length weight tuples (or lists); inf when the supports differ."""
-    on = [w > 0.0 for w in xw]
-    if on != [w > 0.0 for w in yw]:
+    on = list(map(bool, xw))  # w > 0 for a weight w >= 0
+    if on != list(map(bool, yw)):
         return math.inf
     # Canonical operand order makes symmetry exact, not just up to rounding.
     if yw < xw:
@@ -211,12 +215,14 @@ def hilbert_distance(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
     return INFINITE if h == math.inf else ExtendedDistance(h)
 
 
+def _t(h: float) -> float:
+    """T from H: tanh(H/4), which is 1.0 at H = inf."""
+    return math.tanh(h / 4.0)
+
+
 def t_distance(x: PositiveVector, y: PositiveVector) -> float:
     """tanh(H/4) with tanh(inf) := 1; always in [0, 1]."""
-    h = hilbert_distance(x, y)
-    if h.infinite:
-        return 1.0
-    return math.tanh(h.value / 4.0)
+    return _t(float(hilbert_distance(x, y)))
 
 
 def comparable(x: PositiveVector, y: PositiveVector) -> bool:
@@ -231,7 +237,7 @@ def normalize(x: PositiveVector) -> SimplexPoint:
         total = math.fsum(x.weights)
     except OverflowError as exc:
         raise DomainError("total mass overflows a float; rescale the weights") from exc
-    return SimplexPoint(tuple(w / total for w in x.weights))
+    return SimplexPoint(tuple(map(truediv, x.weights, repeat(total))))  # w / total
 
 
 def theta_seminorm(f: LogDensityVector) -> float:

@@ -1,6 +1,11 @@
+import io
+import json
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, compress
+from operator import truediv
 
+import numpy as np
 import pytest
 
 from hilbertcone import (
@@ -30,6 +35,9 @@ from hilbertcone import (
     w1_bound_from_h,
     w1_exact_1d,
 )
+from hilbertcone.bounds import _expm1, _report
+from hilbertcone.cli import run_command
+from hilbertcone.core import PositiveVector, comparable, normalize, osc
 from conftest import random_simplex
 
 S = SimplexPoint
@@ -117,6 +125,18 @@ class TestAtarZeitouni:
         assert math.isinf(rep.rhs_value)
 
 
+def exact_vertex_l1_bound(weights, r):
+    """vertex_l1_bound's formula in rational arithmetic, with e^R and e^-R as floats."""
+    ws = [Fraction(w) for w in weights]
+    best = Fraction(0)
+    for e in (Fraction(math.exp(r)), Fraction(math.exp(-r))):
+        for mask in range(2, 2 ** len(ws), 2):
+            s = sum(w for i, w in enumerate(ws) if mask >> i & 1)
+            c = sum(ws) - s
+            best = max(best, abs(2 * (e - 1) * s * c / (c + s * e)))
+    return best
+
+
 class TestVertexL1Bound:
     def test_hand_value(self):
         # nu = (1/2, 1/2), R = log 4: g^+ = g^- peak at 3/5
@@ -163,13 +183,27 @@ class TestVertexL1Bound:
             assert bound == pytest.approx(limit, abs=1e-12)
             assert bound <= 2.0 * math.tanh(r / 4.0) + 1e-12
 
-    @pytest.mark.parametrize("r", [40.0, 709.0, math.inf])
-    def test_subset_sum_of_exactly_one(self, r):
-        # The weights past index 0 sum to 1.0 in floats, where g_R^+ has the factor
-        # s(1 - s) = 0; 1 + s e^-R - s rounds to 0 there, so the quotient would be 0/0.
+    @pytest.mark.parametrize("r, expected", [(40.0, 1.4036708830826798), (709.0, 2.0),
+                                             (math.inf, 2.0)], ids=["40.0", "709.0", "inf"])
+    def test_subset_sum_of_exactly_one(self, r, expected):
+        # The weights past index 0 sum to 1.0 in floats, but the complementary mass
+        # is 1e-17, not 1 - s = 0: the vertex that moves it has tv 1.4037 at R = 40.
         bound = vertex_l1_bound(S((1e-17, 0.5, 0.5)), r)
-        assert bound == pytest.approx(1.0, abs=1e-12)
+        assert bound == pytest.approx(expected, abs=1e-12)
         assert bound <= 2.0 * math.tanh(r / 4.0) + 1e-12
+
+    @pytest.mark.parametrize("weights", [(1e-17, 0.5, 0.5), (1e-17, 0.5, 0.5000000000001),
+                                         (1e-17, 0.5, 0.4999999999999)])
+    def test_near_a_face_matches_exact_arithmetic(self, weights):
+        from hilbertcone import ball_vertices
+
+        nu, r = S(weights), 40.0
+        bound = vertex_l1_bound(nu, r)
+        exact = exact_vertex_l1_bound(weights, r)
+        assert abs(bound - float(exact)) <= 1e-12 * float(exact)
+        worst = max(tv_distance(p, nu) for p in ball_vertices(nu, r).simplex_vertices)
+        assert worst <= bound + 1e-12
+        assert bound <= 2.0 * math.tanh(r / 4.0)
 
 
 class TestKlDivergence:
@@ -400,3 +434,179 @@ class TestKlFromH:
         r = kl_from_h_bound(S((0.5, 0.5)), S((0.0, 1.0)))
         assert r.lhs_value == r.rhs_value == r.slack == math.inf
         assert r.holds and not r.applicable
+
+
+# The scalar bodies of H, tv, KL and the bound reports as they were before they
+# moved to numpy: every report and dist value must match them bit for bit.
+def ref_support(x):
+    return frozenset(i for i, w in enumerate(x.weights) if w > 0.0)
+
+
+def ref_h(x, y):
+    xw, yw = x.weights, y.weights
+    on = [w > 0.0 for w in xw]
+    if on != [w > 0.0 for w in yw]:
+        return math.inf
+    if yw < xw:
+        xw, yw = yw, xw
+    if not all(on):
+        xw, yw = list(compress(xw, on)), list(compress(yw, on))
+    r = list(map(truediv, yw, xw))
+    hi, lo = max(r), min(r)
+    if 0.0 < lo and hi / lo < math.inf:
+        return math.log(hi / lo)
+    return float(osc([math.log(b) - math.log(a) for a, b in zip(xw, yw)]))
+
+
+def ref_t(h):
+    return 1.0 if h == math.inf else math.tanh(h / 4.0)
+
+
+def ref_tv(mu, nu):
+    return math.fsum(abs(a - b) for a, b in zip(mu.weights, nu.weights))
+
+
+def ref_kl(mu, nu):
+    if not ref_support(mu) <= ref_support(nu):
+        return math.inf
+    val = math.fsum(
+        m * (math.log(m) - math.log(v)) for m, v in zip(mu.weights, nu.weights) if m > 0.0
+    )
+    return max(val, 0.0)
+
+
+def ref_w1(xs, mu, nu):
+    total = 0.0
+    cdf_gap = 0.0
+    for i in range(len(xs) - 1):
+        cdf_gap += mu.weights[i] - nu.weights[i]
+        total += abs(cdf_gap) * (xs[i + 1] - xs[i])
+    return total
+
+
+def ref_moment_gap(xs, mu, nu, x0, q, moment_of, h):
+    lhs = abs(math.fsum(
+        abs(x - x0) ** q * (m - v) for x, m, v in zip(xs, mu.weights, nu.weights)
+    ))
+    name = f"K_{q:g}({moment_of})*(e^H-1)"
+    if h == math.inf:
+        return _report(f"|moment-gap q={q:g}|", lhs, name, math.inf, applicable=False)
+    ref = mu if moment_of == "mu" else nu
+    k_q = math.fsum(abs(x - x0) ** q * w for x, w in zip(xs, ref.weights))
+    return _report(f"|moment-gap q={q:g}|", lhs, name, k_q * _expm1(h))
+
+
+def ref_reports(mu, nu, xs, x0, moments):
+    h, tv, t = ref_h(mu, nu), ref_tv(mu, nu), ref_t(ref_h(mu, nu))
+    pos = math.fsum(m - v for m, v in zip(mu.weights, nu.weights) if m > v)
+    neg = math.fsum(v - m for m, v in zip(mu.weights, nu.weights) if v > m)
+    if all(w > 0.0 for w in mu.weights) and all(w > 0.0 for w in nu.weights):
+        min_mass = min(min(mu.weights), min(nu.weights))
+        t_upper = _report("T", t, "tv/(4*min-mass)", (tv / 2.0) / (2.0 * min_mass))
+    else:
+        t_upper = _report("T", t, "tv/(4*min-mass)", math.inf, applicable=False)
+    w1 = ref_w1(xs, mu, nu)
+    if h == math.inf:
+        w1_bound = _report("W1", w1, "(e^H-1)*m1(mu)", math.inf, applicable=False)
+    else:
+        moment = math.fsum(abs(x - x0) * w for x, w in zip(xs, mu.weights))
+        w1_bound = _report("W1", w1, "(e^H-1)*m1(mu)", _expm1(h) * moment)
+    return [
+        _report("tv", tv, "2*tanh(H/4)", 2.0 * t),
+        _report("tv", tv, "(2/log3)*H", (2.0 / math.log(3.0)) * h, applicable=h < math.inf),
+        _report("sup_A |mu(A)-nu(A)|", max(pos, neg), "T", t),
+        t_upper,
+        w1_bound,
+        *(ref_moment_gap(xs, mu, nu, x0, q, of, h) for q, of in moments),
+        _report("KL", ref_kl(mu, nu), "H", h, applicable=h < math.inf),
+    ]
+
+
+def bits(value):
+    """A float's type and hex, so that a numpy scalar or a changed last bit both differ."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: bits(v) for k, v in vars(value).items()}
+    return value
+
+
+def raw_pair(rng, n):
+    """Two nonnegative vectors: zeros on shared or mismatched supports, some subnormal."""
+    a, b = rng.lognormal(0.0, 2.0, n), rng.lognormal(0.0, 2.0, n)
+    shape = rng.integers(4)
+    if shape >= 1:
+        a[rng.random(n) < 0.2] = 0.0
+        b[a == 0.0] = 0.0
+    if shape >= 2:  # mismatched supports
+        b[rng.integers(n)] = 0.0
+        b[rng.integers(n)] = 1.5
+    if rng.random() < 0.3:
+        for v in (a, b):
+            v[rng.integers(n, size=max(1, n // 10))] = rng.choice([5e-324, 1e-320, 2e-310])
+    for v in (a, b):
+        if not v.any():
+            v[0] = 1.0
+    return PositiveVector(tuple(a)), PositiveVector(tuple(b))
+
+
+def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path):
+    """500 pairs, n 2..2,000: every report field and dist value, library and CLI."""
+    kinds = set()
+    for t in range(500):
+        u = rng.random()
+        n = int(rng.integers(2, 41) if u < 0.7 else rng.integers(41, 501) if u < 0.95
+                else rng.integers(501, 2001))
+        a, b = raw_pair(rng, n)
+        mu, nu = normalize(a), normalize(b)
+        for x in (a, b):
+            total = math.fsum(x.weights)
+            assert bits(list(normalize(x).weights)) == bits([w / total for w in x.weights])
+        h = ref_h(mu, nu)
+        kinds.add((h == math.inf, n > 1000))
+        assert bits(float(hilbert_distance(a, b))) == bits(ref_h(a, b))
+        assert bits(float(hilbert_distance(mu, nu))) == bits(h)
+        assert bits(t_distance(a, b)) == bits(ref_t(ref_h(a, b)))
+        assert bits(tv_distance(mu, nu)) == bits(ref_tv(mu, nu))
+        assert bits(float(kl_divergence(mu, nu))) == bits(ref_kl(mu, nu))
+        assert comparable(a, b) == (ref_support(a) == ref_support(b))
+        assert mu.full_support == all(w > 0.0 for w in mu.weights)
+
+        xs = np.cumsum(rng.uniform(0.01, 2.0, n)).tolist()
+        x0 = float(rng.uniform(-1.0, 5.0))
+        moments = [(1, "mu"), (2.0, "mu"), (1.5, "nu")]
+        got = [
+            tv_from_t_bound(mu, nu),
+            atar_zeitouni_bound(mu, nu),
+            subset_sup_bound(mu, nu),
+            t_upper_from_tv(mu, nu),
+            w1_bound_from_h(xs, mu, nu, x0),
+            *(moment_gap_bound(xs, mu, nu, x0, q, of) for q, of in moments),
+            kl_from_h_bound(mu, nu),
+        ]
+        assert bits(got) == bits(ref_reports(mu, nu, xs, x0, moments)), (t, n)
+        assert bits(w1_exact_1d(xs, mu, nu)) == bits(ref_w1(xs, mu, nu))
+
+        if t % 10 == 0:  # the CLI's own composition of the same values
+            files = []
+            for name, x in (("a", a), ("b", b)):
+                files.append(str(tmp_path / f"{name}.json"))
+                (tmp_path / f"{name}.json").write_text(json.dumps(list(x.weights)))
+            out = io.StringIO()
+            assert run_command(["bounds", *files], out) == 0
+            xs = [float(i) for i in range(n)]
+            expected = [{k: "inf" if v == math.inf else v for k, v in vars(r).items()}
+                        for r in ref_reports(mu, nu, xs, xs[0], [(1, "mu"), (2, "mu")])]
+            assert bits(json.loads(out.getvalue())) == bits(expected)
+            out = io.StringIO()
+            assert run_command(["dist", *files], out) == 0
+            ha, kl = ref_h(a, b), ref_kl(mu, nu)
+            expected = {"hilbert": "inf" if ha == math.inf else ha, "t": ref_t(ha),
+                        "tv": ref_tv(mu, nu), "kl": "inf" if kl == math.inf else kl,
+                        "comparable": ref_support(a) == ref_support(b)}
+            assert bits(json.loads(out.getvalue())) == bits(expected)
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}

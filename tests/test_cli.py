@@ -258,6 +258,19 @@ class TestCleanErrors:
         assert run(["tau-kernel", g]) == (1, "")
         assert single_error_line(capsys)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("doc", [
+        "[[1e308, 1e308], [-1e308, -1e308]]",
+        json.dumps({"log_values": [[1e308] * 3, [0.0] * 3, [-1e308] * 3],
+                    "a_grid": [0, 1, 2], "x_grid": [0, 1, 2]}),
+        "[[1e308, -1e308], [-1e308, 1e308]]",
+    ], ids=["rank-one", "rank-one-grid", "full-rank"])
+    def test_tau_kernel_past_float_range(self, tmp_path, capsys, doc):
+        # Finite log values whose differences overflow used to print NaN (or warn).
+        g = write(tmp_path, "g.json", doc)
+        assert run(["tau-kernel", g]) == (1, "")
+        assert single_error_line(capsys)
+
     def test_non_integer_seed_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
         m = write(tmp_path, "m.json", "[[3, 1], [2, 5]]")
         p = write(tmp_path, "p.json", "[[0.75, 0.25], [0.25, 0.75]]")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -29,7 +30,7 @@ from hilbertcone import (
     verify_contraction,
 )
 from hilbertcone import contraction
-from hilbertcone.core import _hilbert_weights
+from hilbertcone.core import _hilbert_weights, osc
 from conftest import random_allowable, random_positive, random_simplex
 
 
@@ -146,6 +147,86 @@ def test_oscillation_pass_matches_pair_minimum_without_negative_zero(a):
         assert math.copysign(1.0, v) == 1.0
 
 
+def unpruned_diameter(L):
+    """The diameter pass without pruning: every row pair, in blocks of about 2**16 differences."""
+    m, p = L.shape
+    b = max(1, (1 << 16) // (m * p))
+    blocks = (osc(L[i:i + b, None, :] - L[None, i:, :]).max() for i in range(0, m - 1, b))
+    return float(max(blocks, default=0.0))
+
+
+FAMILIES = ("uniform", "kernel", "stochastic", "ties", "near-ties", "rank-one", "offset")
+
+
+def log_matrix(rng, family, m, p):
+    """An m x p matrix of log values from one of FAMILIES."""
+    if family == "uniform":
+        return rng.uniform(-2.0, 2.0, (m, p))
+    if family == "kernel":  # a noisy Gaussian kernel on uniform grids
+        a, x = np.linspace(0.0, 1.0, m), np.linspace(0.0, 1.0, p)
+        width = rng.uniform(0.2, 1.0)
+        return -((a[:, None] - x[None, :]) ** 2) / (2 * width**2) + rng.normal(0, 0.05, (m, p))
+    if family == "stochastic":  # the logs of a row-stochastic matrix
+        a = np.exp(rng.uniform(-2.0, 2.0, (m, p)))
+        return np.log(a / a.sum(axis=1, keepdims=True))
+    if family == "ties":  # equal oscillations and equal pair values
+        return rng.integers(0, 3, (m, p)).astype(float)
+    if family == "near-ties":  # pair values within ~1e-13 of each other
+        return rng.integers(0, 2, (m, p)) + rng.normal(0.0, 1e-13, (m, p))
+    if family == "rank-one":  # every pair value is 0 or a rounding error
+        u = rng.integers(-5, 5, m) if rng.random() < 0.5 else rng.normal(0.0, 3.0, m)
+        return u[:, None] + rng.normal(0.0, 1.0, p)[None, :]
+    offsets = rng.uniform(-1e6, 1e6, (m, 1)) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
+    return rng.uniform(-2.0, 2.0, (m, p)) + offsets
+
+
+def test_pruned_pass_matches_unpruned_pass_bit_for_bit(rng):
+    """2,000 matrices: square and rectangular, one block and many, C and F order."""
+    multi_block = 0
+    for t in range(2000):
+        u = rng.random()
+        if u < 0.6:
+            m, p = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+        elif u < 0.9:
+            m = int(rng.integers(41, 121))
+            p = m if rng.random() < 0.5 else int(rng.integers(1, 121))
+        else:
+            m = int(rng.integers(121, 258))
+            p = m if rng.random() < 0.3 else int(rng.integers(1, 9))
+        L = log_matrix(rng, FAMILIES[t % len(FAMILIES)], m, p)
+        if rng.random() < 0.2:
+            L = np.asfortranarray(L)
+        multi_block += m * p * (m - 1) > 1 << 16
+        got = contraction._pairwise_diameter(L)
+        assert got.hex() == unpruned_diameter(L).hex(), (t, m, p)
+        assert math.copysign(1.0, got) == 1.0
+    assert multi_block > 500
+
+
+def test_pruned_pass_skips_pairs_of_narrow_rows(monkeypatch):
+    # Rows widen down the matrix and alternate in sign, so the two widest rows
+    # attain the bound and, once they are compared, every other pair is skipped.
+    m, p = 200, 50
+    L = np.outer(np.arange(1.0, m + 1) * (-1.0) ** np.arange(m), np.linspace(-1.0, 1.0, p))
+    pairs = []
+    real = contraction.osc
+    monkeypatch.setattr(contraction, "osc", lambda D: pairs.append(D.shape[0] * D.shape[1])
+                        or real(D))
+    assert contraction._pairwise_diameter(L) == unpruned_diameter(L) == 4.0 * m - 2.0
+    assert sum(pairs) <= 0.1 * m * (m - 1) / 2
+
+
+def test_pruned_pass_memory_on_a_tall_kernel(rng):
+    L = rng.normal(size=(2000, 3))
+    tracemalloc.start()
+    try:
+        contraction._pairwise_diameter(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 class TestBirkhoffTau:
     def test_all_ones(self):
         assert birkhoff_tau([[1, 1], [1, 1]]) == 0.0
@@ -226,6 +307,11 @@ class TestGridKernel:
                 GridKernel(np.zeros((2, 2)), np.arange(2.0), np.array(grid))
         with pytest.raises(DimensionError):
             GridKernel(np.zeros((2, 3)), np.arange(2.0), np.arange(2.0))
+        # Finite log values whose differences overflow: the pass would give NaN.
+        for lv in ([[1e308, 1e308], [-1e308, -1e308]], [[1e308, -1e308], [-1e308, 1e308]]):
+            with pytest.raises(ValidationError, match="finite range"):
+                GridKernel(np.array(lv), np.arange(2.0), np.arange(2.0))
+        assert grid_kernel_tau(GridKernel([[8e307, 0.0], [-8e307, 0.0]], [0, 1], [0, 1])) == 1.0
 
 
 class TestKernelApply:

@@ -4,7 +4,12 @@
 
 Each tree runs every op in one subprocess.  Per subcommand, the script prints
 how many ops gave the same exit code, stdout, stderr and SVG file on both
-sides.  It exits 1 if any op differed.
+sides, and the same for the large ops alone ("tau n>=40" and so on).  It
+exits 1 if any op differed.
+
+Most ops draw n in 2..7.  About 5% of the matrix ops draw n in 40..160, where
+the diameter pass runs in several blocks, and about 5% of the dist and bounds
+ops draw n in 1,000..10,000.
 """
 
 import collections
@@ -40,9 +45,12 @@ json.dump(res, sys.stdout)
 COMMANDS = "dist bounds tau tau-kernel verify markov ball ball tile tile".split()
 RADII = "1e-300 1e-05 0.1 0.5 1 3 12345.678 720 730 800 1e308 inf nan 0 -1".split()
 MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", "[]", "{}", "1,x", "[true, 1]", "nan"]
+LARGE = {"tau": (40, 160), "verify": (40, 160), "tau-kernel": (40, 160), "markov": (40, 160),
+         "dist": (1000, 10000), "bounds": (1000, 10000)}
 
 
-def make_ops(rng, count: int, work: Path) -> list[list[str]]:
+def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
+    """``count`` random argvs, each with a flag that says whether it drew a large n."""
     names = itertools.count()
 
     def doc(value) -> str:  # 3% of documents are malformed
@@ -78,8 +86,12 @@ def make_ops(rng, count: int, work: Path) -> list[list[str]]:
                            rng.integers(-1, 4), "--svg", "t.svg"],
     }
     args["bounds"] = args["dist"]
-    return [[cmd, *map(str, args[cmd](int(rng.integers(2, 8))))]
-            for cmd in rng.choice(COMMANDS, count).tolist()]
+    ops = []
+    for cmd in rng.choice(COMMANDS, count).tolist():
+        large = cmd in LARGE and rng.random() < 0.05
+        lo, hi = LARGE[cmd] if large else (2, 7)
+        ops.append(([cmd, *map(str, args[cmd](int(rng.integers(lo, hi + 1))))], large))
+    return ops
 
 
 def run_side(src: str, ops, work: Path) -> list:
@@ -91,14 +103,18 @@ def run_side(src: str, ops, work: Path) -> list:
 
 def main(old_src: str, new_src: str, seed: str = "0", ops: str = "4000") -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        argvs = make_ops(np.random.default_rng(int(seed)), int(ops), Path(tmp))
+        drawn = make_ops(np.random.default_rng(int(seed)), int(ops), Path(tmp))
+        argvs = [argv for argv, _ in drawn]
         old, new = [run_side(src, argvs, Path(tmp)) for src in (old_src, new_src)]
     tally = collections.defaultdict(collections.Counter)
-    for argv, a, b in zip(argvs, old, new):
-        for key in (argv[0], "total"):
+    for (argv, large), a, b in zip(drawn, old, new):
+        keys = [argv[0], "total"]
+        if large:
+            keys.append(f"{argv[0]} n>={LARGE[argv[0]][0]}")
+        for key in keys:
             tally[key]["identical" if a == b else "differing"] += 1
     for cmd in sorted(tally, key=lambda k: (k == "total", k)):
-        print(f"{cmd:10s} identical {tally[cmd]['identical']:5d}  "
+        print(f"{cmd:16s} identical {tally[cmd]['identical']:5d}  "
               f"differing {tally[cmd]['differing']:5d}")
     return 1 if tally["total"]["differing"] else 0
 
