@@ -55,6 +55,7 @@ __all__ = [
     "t_upper_from_tv",
     "subset_sup_bound",
     "sharpness_witness",
+    "bound_reports",
 ]
 
 _TOL = 1e-10
@@ -365,3 +366,25 @@ def sharpness_witness(radius: float) -> tuple[SimplexPoint, SimplexPoint]:
     base = theta_chart(nu, 0).coords
     mu = theta_inverse(ThetaVector(0, (base[0] - radius,)))
     return nu, mu
+
+
+def bound_reports(mu: SimplexPoint, nu: SimplexPoint) -> list[BoundReport]:
+    """The eight reports of ``hilbertcone bounds``, with H and tv computed once.
+
+    In order: tv_from_t, atar_zeitouni, subset_sup, t_upper_from_tv, then
+    w1_bound_from_h and moment_gap_bound (q = 1, 2) on the support points
+    0, 1, ..., n-1 with x0 = 0, then kl_from_h.
+    """
+    m, v = _arrays(mu, nu)
+    h, tv = _h(mu, nu), _tv(m, v)
+    xs = np.arange(float(len(mu)))
+    return [
+        _tv_from_t(tv, h),
+        _atar_zeitouni(tv, h),
+        _subset_sup(m, v, h),
+        _t_upper_from_tv(m, v, tv, h),
+        _w1_bound(xs, m, v, xs[0], h),
+        _moment_gap(xs, m, v, xs[0], 1, "mu", h),
+        _moment_gap(xs, m, v, xs[0], 2, "mu", h),
+        _kl_from_h(float(_kl(mu.weights, nu.weights)), h),
+    ]

@@ -5,8 +5,9 @@ grids) or CSV with '#'-prefixed header lines.  The CLI checks a document's
 shape only; the library type built from it checks the values.  All
 floating-point output is serialized with ``repr`` (shortest round-trip),
 infinite distances as the JSON string "inf", so reruns with identical
-arguments and seed are byte-identical.  The default seed is 0 and can be
-overridden by the ``HILBERT_CONE_SEED`` environment variable or ``--seed``.
+arguments and seed are byte-identical.  The seed, an integer >= 0, defaults to
+0 and can be overridden by the ``HILBERT_CONE_SEED`` environment variable or
+``--seed``.
 """
 
 from __future__ import annotations
@@ -205,23 +206,9 @@ def _cmd_markov(args, out) -> int:
 
 def _cmd_bounds(args, out) -> int:
     mu, nu = normalize(_load(args.a, "vector")), normalize(_load(args.b, "vector"))
-    # The public bound functions, with H and tv computed once for all eight.
-    h = float(hilbert_distance(mu, nu))
-    m, v = bnd._arrays(mu, nu)
-    tv = bnd._tv(m, v)
-    xs = np.arange(float(len(mu)))
-    reports = [
-        bnd._tv_from_t(tv, h),
-        bnd._atar_zeitouni(tv, h),
-        bnd._subset_sup(m, v, h),
-        bnd._t_upper_from_tv(m, v, tv, h),
-        bnd._w1_bound(xs, m, v, xs[0], h),
-        bnd._moment_gap(xs, m, v, xs[0], 1, "mu", h),
-        bnd._moment_gap(xs, m, v, xs[0], 2, "mu", h),
-        bnd._kl_from_h(float(bnd._kl(mu.weights, nu.weights)), h),
-    ]
     # Only a report's lhs_value, rhs_value and slack can be inf, written as the string "inf".
-    rows = [{k: "inf" if v == math.inf else v for k, v in vars(r).items()} for r in reports]
+    rows = [{k: "inf" if v == math.inf else v for k, v in vars(r).items()}
+            for r in bnd.bound_reports(mu, nu)]
     _emit_json(rows, out)
     return 0
 
@@ -313,7 +300,7 @@ def run_command(argv: list[str], out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except (HilbertConeError, OSError) as exc:
+    except (HilbertConeError, OSError, MemoryError) as exc:  # MemoryError: e.g. a huge --trials
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

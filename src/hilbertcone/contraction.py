@@ -1,21 +1,22 @@
 """Birkhoff contraction coefficients for nonnegative matrices and grid kernels.
 
-The coefficient ``tau(A) = (1 - sqrt(phi)) / (1 + sqrt(phi))`` comes from the
-minimal cross-ratio ``phi(A) = min A[i,k]*A[j,l] / (A[j,k]*A[i,l])``.  With
+The coefficient is the T-distance of the projective diameter,
+``tau(A) = tanh(Delta/4)``, where ``Delta = -log phi`` and ``phi(A) = min
+A[i,k]*A[j,l] / (A[j,k]*A[i,l])`` is the minimal cross-ratio.  With
 ``L = log A``, the quadruple minimum is an O(n^3) pass of oscillations
 
     -log phi = max_{i<j} osc(L[i] - L[j]) = max_{i<j} H(row_i, row_j),
 
-the projective diameter, which stays tractable for n in the thousands; the
-exhaustive O(n^4) scan is kept only as a test oracle.  Each matrix or kernel
-runs the pass once and caches it.  The pass is an exact branch and bound: the
-rows are sorted by descending oscillation ``hi - lo``, and a pair is skipped
-only when the float bound ``fl(fl(hi_i - lo_j) - fl(lo_i - hi_j))``, which
-rounding cannot push below ``osc(L_i - L_j)``, is at most the best value so
-far, so the result is the unpruned maximum bit for bit.  A matrix small enough
-for one block (square n <= 40) skips the sort.  The zero conventions (0/0 -> 1,
-0/positive -> 0) are resolved before taking any logarithm: for an allowable
-matrix a single zero entry already forces phi = 0.
+which stays tractable for n in the thousands; the exhaustive O(n^4) scan is
+kept only as a test oracle.  Each matrix or kernel runs the pass once and
+caches it.  The pass is an exact branch and bound: the rows are sorted by
+descending oscillation ``hi - lo``, and a pair is skipped only when the float
+bound ``fl(fl(hi_i - lo_j) - fl(lo_i - hi_j))``, which rounding cannot push
+below ``osc(L_i - L_j)``, is at most the best value so far, so the result is
+the unpruned maximum bit for bit.  A matrix small enough for one block (square
+n <= 40) skips the sort.  The zero conventions (0/0 -> 1, 0/positive -> 0) are
+resolved before taking any logarithm: for an allowable matrix a single zero
+entry already forces phi = 0.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import numpy as np
 
 from .core import (
     ExtendedDistance,
-    INFINITE,
     PositiveVector,
     SimplexPoint,
+    _extended,
     _hilbert_weights,
-    hilbert_distance,
-    normalize,
+    _t,
+    hilbert_distance,  # not called here; kept so that contraction.hilbert_distance resolves
     osc,
 )
 from .errors import CertificationError, DimensionError, DomainError, ValidationError
@@ -175,23 +176,17 @@ def _pairwise_diameter(L: np.ndarray) -> float:
     return best
 
 
-def _tau(d: float) -> float:
-    s = math.exp(-d / 2.0)
-    return (1.0 - s) / (1.0 + s)
-
-
-def _extended(d: float) -> ExtendedDistance:
-    return INFINITE if d == math.inf else ExtendedDistance(d)
-
-
 def birkhoff_phi(A) -> float:
     """Minimal cross-ratio phi(A) in [0, 1]; zero iff A has a zero entry."""
     return math.exp(-_as_matrix(A)._diameter)
 
 
 def birkhoff_tau(A) -> float:
-    """Birkhoff contraction coefficient (1 - sqrt(phi)) / (1 + sqrt(phi))."""
-    return _tau(_as_matrix(A)._diameter)
+    """Birkhoff contraction coefficient tanh(Delta/4), Delta the projective diameter.
+
+    Equal to (1 - sqrt(phi)) / (1 + sqrt(phi)), a quotient that cancels at small Delta.
+    """
+    return _t(_as_matrix(A)._diameter)
 
 
 def projective_diameter(A) -> ExtendedDistance:
@@ -206,7 +201,7 @@ def grid_kernel_phi(K: GridKernel) -> float:
 
 def grid_kernel_tau(K: GridKernel) -> float:
     """Contraction coefficient of the discretized kernel operator, in [0, 1)."""
-    return _tau(K._diameter)
+    return _t(K._diameter)
 
 
 def kernel_apply(K: GridKernel, mu: PositiveVector) -> PositiveVector:
@@ -242,8 +237,10 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
     A = _as_matrix(A)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     d = A._diameter
-    tau = _tau(d)
+    tau = _t(d)
     rng = np.random.default_rng(seed)
     n = A.n
     X = np.exp(rng.uniform(-3.0, 3.0, size=(trials, n)))
@@ -287,13 +284,13 @@ def _unit_mass(row: np.ndarray) -> list[float]:
     return (row / math.fsum(row.tolist())).tolist()
 
 
-def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """mu_1, mu_2, ... of mu_{k+1} = mu_k P, each as an array and as its unit mass."""
+def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[list[float]]:
+    """The unit masses of mu_1, mu_2, ... of mu_{k+1} = mu_k P."""
     cur = np.asarray(mu0.weights)
     while True:
         cur = cur @ P.entries
         cur = cur / cur.sum()
-        yield cur, _unit_mass(cur)
+        yield _unit_mass(cur)
 
 
 def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
@@ -318,7 +315,7 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
 
     walk = _iterates(mu0, P)
     prev, kept = _unit_mass(np.asarray(mu0.weights)), []
-    for k, (cur, mass) in enumerate(islice(walk, 100_000), 1):
+    for k, mass in enumerate(islice(walk, 100_000), 1):
         h = _hilbert_weights(prev, mass)
         if k <= steps:
             kept.append(mass)
@@ -327,14 +324,15 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
         prev = mass
     else:
         raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
-    pi = normalize(PositiveVector(tuple(cur)))
+    pi = SimplexPoint(tuple(mass))  # the weights normalize() gives for mu_K
 
-    h0 = float(hilbert_distance(mu0, pi))
-    pw = list(pi.weights)
-    later = (mass for _, mass in islice(walk, steps - len(kept)))
+    later = islice(walk, steps - len(kept))
+    # (H, tv) to pi of mu_0 .. mu_steps; tv is a sequential sum, as in a loop.
+    dists = [(_hilbert_weights(mw, mass), sum(abs(a - b) for a, b in zip(mw, mass)))
+             for mw in chain([list(mu0.weights)], kept, later)]
+    h0 = dists[0][0]
     rows: list[MarkovStep] = []
-    for k, mw in enumerate(chain([list(mu0.weights)], kept, later)):
-        hk = _hilbert_weights(mw, pw) if k else h0
+    for k, (hk, tv) in enumerate(dists):
         if math.isinf(h0):
             # 0 * inf: a rank-one chain hits pi exactly after one step.
             bound = math.inf if (tau > 0.0 or k == 0) else 0.0
@@ -342,6 +340,5 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
             bound = (tau**k) * h0
         if math.isfinite(bound) and hk > bound + 1e-9:
             raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
-        tv = sum(abs(a - b) for a, b in zip(mw, pw))
-        rows.append(MarkovStep(k, hk, math.tanh(hk / 4.0), tv, bound))
+        rows.append(MarkovStep(k, hk, _t(hk), tv, bound))
     return MarkovRun(tuple(rows), pi, tau, nonexpansive_only=(tau >= 1.0))

@@ -74,6 +74,10 @@ class ExtendedDistance:
 INFINITE = ExtendedDistance(0.0, infinite=True)
 
 
+def _extended(d: float) -> ExtendedDistance:
+    return INFINITE if d == math.inf else ExtendedDistance(d)
+
+
 @dataclass(frozen=True)
 class PositiveVector:
     """A ray representative in the nonnegative orthant.
@@ -211,8 +215,7 @@ def hilbert_distance(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
     otherwise.
     """
     _check_lengths(x, y)
-    h = _hilbert_weights(x.weights, y.weights)
-    return INFINITE if h == math.inf else ExtendedDistance(h)
+    return _extended(_hilbert_weights(x.weights, y.weights))
 
 
 def _t(h: float) -> float:

@@ -19,6 +19,7 @@ from hilbertcone import (
     SimplexPoint,
     ValidationError,
     atar_zeitouni_bound,
+    bound_reports,
     f_divergence,
     f_divergence_envelope,
     hilbert_distance,
@@ -610,3 +611,27 @@ def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path):
                         "comparable": ref_support(a) == ref_support(b)}
             assert bits(json.loads(out.getvalue())) == bits(expected)
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_bound_reports_match_the_public_functions_bit_for_bit(rng):
+    """The eight reports of the bounds command, against each public function and the reference."""
+    for t in range(200):
+        n = int(rng.integers(2, 41) if t % 10 else rng.integers(41, 1001))
+        mu, nu = map(normalize, raw_pair(rng, n))
+        xs = [float(i) for i in range(n)]
+        public = [
+            tv_from_t_bound(mu, nu),
+            atar_zeitouni_bound(mu, nu),
+            subset_sup_bound(mu, nu),
+            t_upper_from_tv(mu, nu),
+            w1_bound_from_h(xs, mu, nu, 0.0),
+            moment_gap_bound(xs, mu, nu, 0.0, 1),
+            moment_gap_bound(xs, mu, nu, 0.0, 2),
+            kl_from_h_bound(mu, nu),
+        ]
+        got = bits(bound_reports(mu, nu))
+        assert got == bits(public), (t, n)
+        assert got == bits(ref_reports(mu, nu, xs, 0.0, [(1, "mu"), (2, "mu")])), (t, n)
+    with pytest.raises(DimensionError):
+        bound_reports(S((0.5, 0.5)), S((0.2, 0.3, 0.5)))
+

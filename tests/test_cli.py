@@ -1,7 +1,11 @@
+import ast
 import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -20,7 +24,7 @@ from hilbertcone import (
     normalize,
     tile,
 )
-from hilbertcone import contraction
+from hilbertcone import bounds, cli, contraction, simplex
 from hilbertcone.cli import _write_ball, parse_input, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -184,6 +188,14 @@ class TestCommands:
         )
         assert len(json.loads(out)) == 7
 
+    def test_tau_at_a_tiny_diameter(self, tmp_path):
+        # tau = tanh(diameter / 4); the quotient (1 - sqrt(phi)) / (1 + sqrt(phi)) printed 0.0.
+        m = write(tmp_path, "m.json", "[[1, 1], [1, 0.9999999999999999]]")
+        assert run(["tau", m]) == (0, (
+            '{\n  "phi": 0.9999999999999999,\n  "tau": 2.7755575615628914e-17,\n'
+            '  "diameter": 1.1102230246251565e-16\n}\n'
+        ))
+
     def test_tau_kernel(self, tmp_path):
         g = write(tmp_path, "g.json", "[[0, -1], [-1, 0]]")
         code, out = run(["tau-kernel", g])
@@ -283,6 +295,29 @@ class TestCleanErrors:
                      ["tile", v, "0.5", "1", "--svg", svg], ["markov", p, mu0, "3"]):
             assert run(argv) == (2, ""), argv
             assert single_error_line(capsys), argv
+
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys):
+        m = write(tmp_path, "m.json", "[[3, 1], [2, 5]]")
+        assert run(["verify", m, "--seed", "-1"]) == (1, "")
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        monkeypatch.setenv("HILBERT_CONE_SEED", "-5")
+        assert run(["verify", m]) == (1, "")
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+
+    def test_allocation_failure(self, tmp_path):
+        # 10^8 trials of a 2x2 matrix need a 1.49 GiB array; the child may map 1 GiB.
+        pytest.importorskip("resource")
+        m = write(tmp_path, "m.json", "[[2, 1], [1, 2]]")
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from hilbertcone.cli import main\n"
+                 "main()\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", child, "verify", m, "--trials", "100000000"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1
 
     def test_certificate_violation(self, tmp_path, monkeypatch, capsys):
         # A forced tau = 0 claims pi is reached in one step, false for this chain.
@@ -437,6 +472,17 @@ class TestInfiniteOutput:
         ]
         expected = "[\n" + ",\n".join(_report_text(*r) for r in reports) + "\n]\n"
         assert run(["bounds", a, b]) == (0, expected)
+
+
+def test_cli_calls_only_public_library_names():
+    """Every bnd.X, ctr.X and spx.X in cli.py is in that module's __all__."""
+    modules = {"bnd": bounds, "ctr": contraction, "spx": simplex}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {alias for alias, _ in used} == set(modules)
+    assert sorted(f"{a}.{x}" for a, x in used if x not in modules[a].__all__) == []
 
 
 def test_one_phi_pass_per_op(tmp_path, monkeypatch):

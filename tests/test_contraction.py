@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 from itertools import product
@@ -139,7 +140,7 @@ def log_phi_min_over_pairs(a):
 def test_oscillation_pass_matches_pair_minimum_without_negative_zero(a):
     lp = min(log_phi_min_over_pairs(a), log_phi_min_over_pairs(np.transpose(a)))
     assert birkhoff_phi(a) == math.exp(lp)
-    assert birkhoff_tau(a) == (1 - math.exp(lp / 2)) / (1 + math.exp(lp / 2))
+    assert birkhoff_tau(a) == math.tanh(-lp / 4)
     assert float(projective_diameter(a)) == -lp
     report = verify_contraction(a, trials=5, seed=0)
     for v in (birkhoff_phi(a), birkhoff_tau(a), float(projective_diameter(a)),
@@ -227,6 +228,14 @@ def test_pruned_pass_memory_on_a_tall_kernel(rng):
     assert peak < 2 << 20
 
 
+def exact_tanh_quarter(d):
+    """tanh(d/4) for a finite d >= 0, in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e = (decimal.Decimal(d) / 2).exp()  # e^(2x) at x = d/4
+        return (e - 1) / (e + 1)
+
+
 class TestBirkhoffTau:
     def test_all_ones(self):
         assert birkhoff_tau([[1, 1], [1, 1]]) == 0.0
@@ -247,6 +256,29 @@ class TestBirkhoffTau:
         for _ in range(30):
             a = random_allowable(rng, int(rng.integers(2, 6)), zero_frac=0.2)
             assert 0.0 <= birkhoff_tau(a) <= 1.0
+
+    def test_small_diameter_does_not_cancel(self):
+        # (1 - sqrt(phi)) / (1 + sqrt(phi)) gives 0.0 and 2.499987500103236e-06 here.
+        assert birkhoff_tau([[1, 1], [1, 0.9999999999999999]]) == 2.7755575615628914e-17
+        assert birkhoff_tau([[1, 1.00001], [1, 1]]) == 2.499987500094502e-06
+
+    def test_within_ulps_of_exact_tanh(self, rng):
+        """10,000 log-uniform diameters in [1e-16, 1e3], against a 60-digit tanh(d/4)."""
+        worst, tiny = 0.0, set()
+        for delta in 10.0 ** rng.uniform(-16.0, 3.0, 10_000):
+            # Diameter log(x / z), about delta; sqrt(phi) = sqrt(z / x) is no entry.
+            z, x = math.exp(-delta / 3.0), math.exp(2.0 * delta / 3.0)
+            a = NonnegMatrix(np.array([[1.0, 1.0], [z, x]]))
+            d = float(projective_diameter(a))  # the pass's own diameter
+            if 0.0 < d < 1e-12:
+                tiny.add(d)
+            ref = exact_tanh_quarter(d)
+            err = abs(decimal.Decimal(birkhoff_tau(a)) - ref) / decimal.Decimal(math.ulp(float(ref)))
+            worst = max(worst, float(err))
+        assert worst <= 2.5
+        assert len(tiny) >= 10
+        assert birkhoff_tau([[1, 1], [1, 1]]) == 0.0  # d = 0
+        assert birkhoff_tau([[1, 0], [1, 1]]) == 1.0  # d = inf
 
 
 class TestProjectiveDiameter:
@@ -362,6 +394,10 @@ class TestVerifyContraction:
         report = verify_contraction([[1, 0], [1, 1]], trials=2000, seed=3)
         assert report.tau == 1.0
         assert report.passed
+
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            verify_contraction([[3, 1], [2, 5]], trials=5, seed=-1)
 
     def test_reproducible(self):
         a = [[3, 1], [2, 5]]
@@ -573,6 +609,26 @@ class TestMarkovConverge:
         assert math.isinf(run.steps[0].hilbert)
         assert math.isinf(run.steps[0].certified_bound)
         assert math.isfinite(run.steps[1].hilbert)
+
+
+def test_every_tau_is_tanh_of_quarter_diameter_bit_for_bit(rng):
+    """birkhoff_tau, grid_kernel_tau, verify_contraction and markov_converge share one T."""
+    for case in range(60):
+        n = int(rng.integers(2, 7))
+        a = NonnegMatrix(random_allowable(rng, n, zero_frac=0.2 if case % 4 == 0 else 0.0))
+        d = float(projective_diameter(a))
+        assert birkhoff_tau(a) == math.tanh(d / 4.0), case
+        assert verify_contraction(a, trials=3, seed=case).tau == math.tanh(d / 4.0), case
+        K = GridKernel(log_matrix(rng, FAMILIES[case % len(FAMILIES)], n + 1, n + 2),
+                       np.arange(n + 1.0), np.arange(n + 2.0))
+        assert grid_kernel_tau(K) == math.tanh(unpruned_diameter(K.log_values) / 4.0), case
+        p = random_chain(rng, n)
+        run = markov_converge(p, random_simplex(rng, n), 2)
+        assert run.tau == math.tanh(float(projective_diameter(p)) / 4.0), case
+    # A nearly uniform chain: a tiny diameter, where the old quotient cancelled.
+    p = np.full((3, 3), 1 / 3) + np.array([[1e-9, -1e-9, 0.0], [0.0, 0.0, 0.0], [0.0] * 3])
+    assert markov_converge(p, SimplexPoint((0.5, 0.25, 0.25)), 1).tau == math.tanh(
+        float(projective_diameter(p)) / 4.0)
 
 
 @pytest.mark.filterwarnings("error")
