@@ -29,10 +29,11 @@ from .core import (
     SimplexPoint,
     _check_lengths,
     _t,
+    comparable,
     hilbert_distance,
 )
 from .errors import CertificationError, DimensionError, DomainError, ValidationError
-from .simplex import theta_chart, theta_inverse, ThetaVector
+from .simplex import ThetaVector, _check_ball_center, _check_radius, theta_chart, theta_inverse
 
 __all__ = [
     "BoundReport",
@@ -153,11 +154,10 @@ def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
     Evaluates g_R^+ and g_R^-(s) = -g_R^+(s, -R) at every nonempty subset sum of nu's weights
     (excluding index 0); dominates tv(mu, nu) for any mu at distance R and is
     itself bounded by 2 tanh(R/4), so it is finite for every R, inf included.
+    Like :func:`ball_vertices`, it takes interior centers up to S^13.
     """
-    if not nu.full_support:
-        raise DomainError("vertex bound requires an interior center")
-    if not radius > 0.0:
-        raise ValidationError(f"radius must be > 0, got {radius!r}")
+    _check_ball_center(nu)
+    _check_radius(radius)
     ws = nu.weights
     best = 0.0
     for mask in range(2, 2 ** len(ws), 2):  # bit i: index i is in the subset; 0 never is
@@ -247,8 +247,7 @@ def f_divergence_envelope(f: ConvexFunctionSpec, h: float) -> float:
 
 def f_divergence(mu: SimplexPoint, nu: SimplexPoint, f: ConvexFunctionSpec) -> float:
     """sum_i nu[i] f(mu[i]/nu[i]) over the common support; supports must match."""
-    _check_lengths(mu, nu)
-    if mu.support != nu.support:
+    if not comparable(mu, nu):
         raise DomainError("f-divergence bound requires equal supports")
     val = math.fsum(v * f(m / v) for m, v in zip(mu.weights, nu.weights) if v > 0.0)
     env = f_divergence_envelope(f, float(hilbert_distance(mu, nu)))
@@ -261,9 +260,16 @@ def _check_support_points(support_points: Sequence[float], k: int) -> np.ndarray
     xs = np.array(list(map(float, support_points)))
     if len(xs) != k:
         raise DimensionError(f"{len(xs)} support points for measures of length {k}")
+    if not np.isfinite(xs).all():
+        raise ValidationError("support points must be finite")
     if (xs[1:] <= xs[:-1]).any():
         raise ValidationError("support points must be strictly increasing")
     return xs
+
+
+def _check_x0(x0: float) -> None:
+    if not math.isfinite(x0):
+        raise ValidationError(f"x0 must be finite, got {x0!r}")
 
 
 def _w1(xs: np.ndarray, m: np.ndarray, v: np.ndarray) -> float:
@@ -289,6 +295,7 @@ def _w1_bound(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, h: float)
 def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint,
                     x0: float) -> BoundReport:
     """W1 <= (e^H - 1) * first moment of mu around x0."""
+    _check_x0(x0)
     m, v = _arrays(mu, nu)
     xs = _check_support_points(support_points, len(mu))
     return _w1_bound(xs, m, v, x0, _h(mu, nu))
@@ -314,6 +321,9 @@ def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: Simp
     """
     if moment_of not in ("mu", "nu"):
         raise ValidationError(f"moment_of must be 'mu' or 'nu', got {moment_of!r}")
+    _check_x0(x0)
+    if not (q >= 0.0 and math.isfinite(q)):  # nan fails q >= 0
+        raise ValidationError(f"q must be finite and >= 0, got {q!r}")
     m, v = _arrays(mu, nu)
     xs = _check_support_points(support_points, len(mu))
     return _moment_gap(xs, m, v, x0, q, moment_of, _h(mu, nu))
@@ -353,8 +363,7 @@ def sharpness_witness(radius: float) -> tuple[SimplexPoint, SimplexPoint]:
     matching ball vertex at distance R.  Past R ~ 1419.6, where e^(R/2) is
     past float range, no interior witness is representable: DomainError.
     """
-    if not radius > 0.0:
-        raise ValidationError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     try:
         e_half = math.exp(radius / 2.0)
     except OverflowError:

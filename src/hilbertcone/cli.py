@@ -24,7 +24,7 @@ import numpy as np
 from . import bounds as bnd
 from . import contraction as ctr
 from . import simplex as spx
-from .core import ExtendedDistance, PositiveVector, _t, hilbert_distance, normalize
+from .core import PositiveVector, _t, hilbert_distance, normalize
 from .errors import HilbertConeError, ValidationError
 
 __all__ = ["parse_input", "run_command", "main"]
@@ -103,29 +103,25 @@ def _load(path: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridK
         return parse_input(fh.read(), kind)
 
 
-def _json_default(obj):
-    """``json.dump``'s hook for ExtendedDistance, the one non-JSON type the CLI writes."""
-    if isinstance(obj, ExtendedDistance):
-        return "inf" if obj.infinite else obj.value
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _emit_json(obj, out) -> None:
-    json.dump(obj, out, indent=2, default=_json_default)
+    """Write a flat dict, or a list of them, as indented JSON with inf as the string "inf"."""
+    rows = [{k: "inf" if v == math.inf else v for k, v in r.items()}
+            for r in (obj if isinstance(obj, list) else [obj])]
+    json.dump(rows if isinstance(obj, list) else rows[0], out, indent=2)
     out.write("\n")
 
 
 def _cmd_dist(args, out) -> int:
     a, b = _load(args.a, "vector"), _load(args.b, "vector")
     mu, nu = normalize(a), normalize(b)
-    h = hilbert_distance(a, b)
+    h = float(hilbert_distance(a, b))
     _emit_json(
         {
             "hilbert": h,
-            "t": _t(float(h)),
+            "t": _t(h),
             "tv": bnd.tv_distance(mu, nu),
-            "kl": bnd.kl_divergence(mu, nu),
-            "comparable": h.is_finite,  # H is finite exactly when the supports agree
+            "kl": float(bnd.kl_divergence(mu, nu)),
+            "comparable": h < math.inf,  # H is finite exactly when the supports agree
         },
         out,
     )
@@ -138,7 +134,7 @@ def _cmd_tau(args, out) -> int:
         {
             "phi": ctr.birkhoff_phi(A),
             "tau": ctr.birkhoff_tau(A),
-            "diameter": ctr.projective_diameter(A),
+            "diameter": float(ctr.projective_diameter(A)),
         },
         out,
     )
@@ -206,10 +202,7 @@ def _cmd_markov(args, out) -> int:
 
 def _cmd_bounds(args, out) -> int:
     mu, nu = normalize(_load(args.a, "vector")), normalize(_load(args.b, "vector"))
-    # Only a report's lhs_value, rhs_value and slack can be inf, written as the string "inf".
-    rows = [{k: "inf" if v == math.inf else v for k, v in vars(r).items()}
-            for r in bnd.bound_reports(mu, nu)]
-    _emit_json(rows, out)
+    _emit_json([vars(r) for r in bnd.bound_reports(mu, nu)], out)
     return 0
 
 
@@ -221,7 +214,7 @@ def _cmd_verify(args, out) -> int:
         {
             "phi": report.phi,
             "tau": report.tau,
-            "diameter": report.diameter,
+            "diameter": float(report.diameter),
             "trials": report.trials,
             "max_violation": report.max_violation,
             "passed": report.passed,

@@ -5,19 +5,18 @@ value lives in :class:`ExtendedDistance`, which keeps "infinite" as an
 explicit tag rather than a floating-point ``inf`` so that the non-comparable
 branch is always deliberate.
 
-Every metric form is one batched primitive, :func:`osc`, the oscillation
-``max(d) - min(d)`` of a log-ratio vector ``d``: H, T = tanh(H/4), the
-log-density and theta-chart forms, and Birkhoff's ``-log phi``.
-
-Ratio arithmetic runs in log-space whenever direct division would overflow
-or underflow, which keeps the metric usable for weights of magnitude up to
-``e**700`` in either direction.
+The batched metric forms (log-density, theta chart, Birkhoff's ``-log phi``)
+use one primitive, :func:`osc`, the oscillation ``max(d) - min(d)`` of a
+log-ratio vector ``d``.  Scalar beta and H share one ratio pass on Python
+floats, where numpy's per-call cost would dominate at small n.  It runs in
+log-space (libm logs) whenever direct division would overflow or underflow,
+which keeps the metric usable for weights up to ``e**700`` in either direction.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import truediv
@@ -146,7 +145,7 @@ class LogDensityVector:
         return len(self.entries)
 
 
-def _check_lengths(x: PositiveVector, y: PositiveVector) -> None:
+def _check_lengths(x: Sized, y: Sized) -> None:
     if len(x) != len(y):
         raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
 
@@ -157,13 +156,11 @@ def log_beta(x: PositiveVector, y: PositiveVector) -> float | None:
     Finite exactly when support(y) is contained in support(x).
     """
     _check_lengths(x, y)
-    if not y.support <= x.support:
+    xw, yw = x.weights, y.weights
+    if not all(compress(xw, yw)):  # x > 0 wherever y > 0; a weight w >= 0 is true iff w > 0
         return None
-    idx = sorted(y.support)
-    r = [y.weights[i] / x.weights[i] for i in idx]
-    if 0.0 < min(r) and max(r) < math.inf:
-        return math.log(max(r))
-    return max(math.log(y.weights[i]) - math.log(x.weights[i]) for i in idx)
+    hi, _, in_logs = _ratio_range(list(compress(xw, yw)), list(compress(yw, yw)))
+    return hi if in_logs else math.log(hi)
 
 
 def beta(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
@@ -188,6 +185,17 @@ def osc(D) -> np.ndarray | float:
     return D.max(axis=-1) - D.min(axis=-1)
 
 
+def _ratio_range(xw: Sequence[float], yw: Sequence[float]) -> tuple[float, float, bool]:
+    """max and min of y/x over positive weights, or of libm log y - log x if ``in_logs``."""
+    r = list(map(truediv, yw, xw))
+    hi, lo = max(r), min(r)
+    # Log-space when a ratio hit 0 or inf (nan if all did) or max/min overflows.
+    if 0.0 < lo and hi / lo < math.inf:
+        return hi, lo, False
+    d = [math.log(b) - math.log(a) for a, b in zip(xw, yw)]
+    return max(d), min(d), True
+
+
 def _hilbert_weights(xw: Sequence[float], yw: Sequence[float]) -> float:
     """H between equal-length weight tuples (or lists); inf when the supports differ."""
     on = list(map(bool, xw))  # w > 0 for a weight w >= 0
@@ -198,13 +206,8 @@ def _hilbert_weights(xw: Sequence[float], yw: Sequence[float]) -> float:
         xw, yw = yw, xw
     if not all(on):
         xw, yw = list(compress(xw, on)), list(compress(yw, on))
-    # Python floats: converting to numpy costs more, and numpy warns on overflow.
-    r = list(map(truediv, yw, xw))
-    hi, lo = max(r), min(r)
-    # Log-space when a ratio hit 0 or inf (nan if all did) or max/min overflows.
-    if 0.0 < lo and hi / lo < math.inf:
-        return math.log(hi / lo)
-    return float(osc([math.log(b) - math.log(a) for a, b in zip(xw, yw)]))
+    hi, lo, in_logs = _ratio_range(xw, yw)
+    return hi - lo if in_logs else math.log(hi / lo)
 
 
 def hilbert_distance(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
@@ -231,7 +234,7 @@ def t_distance(x: PositiveVector, y: PositiveVector) -> float:
 def comparable(x: PositiveVector, y: PositiveVector) -> bool:
     """True iff each vector is dominated by a positive multiple of the other."""
     _check_lengths(x, y)
-    return x.support == y.support
+    return list(map(bool, x.weights)) == list(map(bool, y.weights))
 
 
 def normalize(x: PositiveVector) -> SimplexPoint:
@@ -254,6 +257,5 @@ def hilbert_from_log_densities(f: LogDensityVector, g: LogDensityVector) -> floa
     Agrees with :func:`hilbert_distance` on the exponentiated inputs; additive
     constants (reference-measure changes) cancel.
     """
-    if len(f) != len(g):
-        raise DimensionError(f"length mismatch: {len(f)} vs {len(g)}")
+    _check_lengths(f, g)
     return float(osc(np.subtract(f.entries, g.entries)))

@@ -18,7 +18,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import SimplexPoint, osc
+from .core import SimplexPoint, _check_lengths, osc
 from .errors import (
     CoordinateRangeError,
     DimensionError,
@@ -102,6 +102,19 @@ def _require_interior(mu: SimplexPoint) -> None:
         raise DomainError("chart is only defined on the simplex interior (no zero weights)")
 
 
+def _check_radius(radius: float) -> None:
+    if not radius > 0.0:  # nan too
+        raise ValidationError(f"radius must be > 0, got {radius!r}")
+
+
+def _check_ball_center(nu: SimplexPoint) -> None:
+    """Refuse a center past S^13 before any of its 2(2^n - 1) vertices is visited."""
+    n = len(nu) - 1
+    if n > _MAX_BALL_DIM:
+        raise UnsupportedDimensionError(f"balls are built up to S^{_MAX_BALL_DIM}, got S^{n}")
+    _require_interior(nu)
+
+
 def theta_chart(mu: SimplexPoint, k: int) -> ThetaVector:
     """Log-ratio coordinates log(mu[i]/mu[k]) for i != k."""
     _require_interior(mu)
@@ -144,8 +157,7 @@ def hilbert_via_theta(mu: SimplexPoint, nu: SimplexPoint) -> float:
     single-chart positive/negative-part form.
     """
     a, b = theta_chart(mu, 0).coords, theta_chart(nu, 0).coords
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(mu)} vs {len(nu)}")
+    _check_lengths(mu, nu)
     # The implicit chart-0 coordinate 0.0 takes part in the oscillation.
     return float(osc([0.0, *(p - q for p, q in zip(a, b))]))
 
@@ -185,12 +197,9 @@ def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
     all nonempty subsets I of {1..n}, listed with sign ``+`` first and subsets
     in ascending bitmask order.  Balls are built up to S^13.
     """
+    _check_ball_center(nu)
+    _check_radius(radius)
     n = len(nu) - 1
-    if n > _MAX_BALL_DIM:
-        raise UnsupportedDimensionError(f"balls are built up to S^{_MAX_BALL_DIM}, got S^{n}")
-    _require_interior(nu)
-    if not radius > 0.0:
-        raise ValidationError(f"radius must be > 0, got {radius!r}")
     base = theta_chart(nu, 0).coords
     thetas: list[tuple[float, ...]] = []
     weights: list[tuple[float, ...]] = []
@@ -221,8 +230,7 @@ def ball_contains(nu: SimplexPoint, radius: float, mu: SimplexPoint) -> bool:
     Evaluates the pairwise halfspace description, whose maximum violation is
     exactly the Hilbert distance.
     """
-    if not radius > 0.0:
-        raise ValidationError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     return hilbert_via_theta(mu, nu) <= radius + 1e-12
 
 
@@ -238,8 +246,7 @@ def tile(center: SimplexPoint, radius: float, shells: int) -> list[BallPolytope]
     if len(center) != 3:
         raise UnsupportedDimensionError("tiling is implemented for S^2 only")
     _require_interior(center)
-    if not radius > 0.0:
-        raise ValidationError(f"radius must be > 0, got {radius!r}")
+    _check_radius(radius)
     if shells < 0:
         raise ValidationError("shells must be >= 0")
     c0 = theta_chart(center, 0).coords

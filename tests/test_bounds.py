@@ -17,8 +17,11 @@ from hilbertcone import (
     F_KL,
     F_TV_HALF,
     SimplexPoint,
+    UnsupportedDimensionError,
     ValidationError,
     atar_zeitouni_bound,
+    ball_contains,
+    ball_vertices,
     bound_reports,
     f_divergence,
     f_divergence_envelope,
@@ -30,12 +33,14 @@ from hilbertcone import (
     subset_sup_bound,
     t_distance,
     t_upper_from_tv,
+    tile,
     tv_distance,
     tv_from_t_bound,
     vertex_l1_bound,
     w1_bound_from_h,
     w1_exact_1d,
 )
+from hilbertcone import bounds
 from hilbertcone.bounds import _expm1, _report
 from hilbertcone.cli import run_command
 from hilbertcone.core import PositiveVector, comparable, normalize, osc
@@ -206,6 +211,36 @@ class TestVertexL1Bound:
         assert worst <= bound + 1e-12
         assert bound <= 2.0 * math.tanh(r / 4.0)
 
+    def test_refuses_a_center_past_s13_before_the_loop(self, monkeypatch):
+        def no_subset(*args):
+            raise AssertionError("a subset was visited")
+
+        assert vertex_l1_bound(S((1 / 14,) * 14), 1.0) > 0.0  # S^13: 16,382 subsets
+        monkeypatch.setattr(bounds, "_g_plus", no_subset)
+        with pytest.raises(UnsupportedDimensionError, match=r"up to S\^13, got S\^14"):
+            vertex_l1_bound(S((1 / 15,) * 15), 1.0)
+
+    def test_equals_the_farthest_ball_vertex(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            nu = random_simplex(rng, n, spread=1.0)
+            r = float(rng.uniform(0.05, 5.0))
+            far = max(tv_distance(p, nu) for p in ball_vertices(nu, r).simplex_vertices)
+            assert abs(vertex_l1_bound(nu, r) - far) <= 1e-10, (nu, r)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan], ids=["0", "-1", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda r: ball_vertices(S((0.25, 0.25, 0.5)), r),
+    lambda r: ball_contains(S((0.25, 0.25, 0.5)), r, S((0.5, 0.25, 0.25))),
+    lambda r: tile(S((0.25, 0.25, 0.5)), r, 1),
+    lambda r: vertex_l1_bound(S((0.25, 0.25, 0.5)), r),
+    sharpness_witness,
+], ids=["ball_vertices", "ball_contains", "tile", "vertex_l1_bound", "sharpness_witness"])
+def test_every_radius_taker_rejects_a_non_positive_radius(call, radius):
+    with pytest.raises(ValidationError, match=r"radius must be > 0"):
+        call(radius)
+
 
 class TestKlDivergence:
     def test_hand_value(self):
@@ -328,6 +363,26 @@ class TestW1:
             w1_exact_1d((1.0, 0.0), S((0.5, 0.5)), S((0.4, 0.6)))
         with pytest.raises(DimensionError):
             w1_exact_1d((0.0, 1.0, 2.0), S((0.5, 0.5)), S((0.4, 0.6)))
+
+
+MU2, NU2 = S((0.5, 0.5)), S((0.25, 0.75))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=0.0, q=-1.0), "q must be finite and >= 0"),
+    (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=0.0, q=math.nan), "q must be finite"),
+    (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=0.0, q=math.inf), "q must be finite"),
+    (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=math.inf, q=1.0), "x0 must be finite"),
+    (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=math.nan, q=1.0), "x0 must be finite"),
+    (lambda: moment_gap_bound([0, math.inf], MU2, NU2, x0=0.0, q=1.0), "points must be finite"),
+    (lambda: w1_bound_from_h([0, 1], MU2, NU2, x0=math.nan), "x0 must be finite"),
+    (lambda: w1_bound_from_h([-math.inf, 1], MU2, NU2, x0=0.0), "points must be finite"),
+    (lambda: w1_exact_1d([0, math.nan], MU2, NU2), "points must be finite"),
+], ids=["q<0", "q=nan", "q=inf", "x0=inf", "x0=nan", "moment-point=inf", "w1-x0=nan",
+        "w1-point=-inf", "exact-point=nan"])
+def test_non_finite_bound_inputs_are_validation_errors(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestMomentGap:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hilbertcone import (
     comparable,
     hilbert_distance,
     hilbert_from_log_densities,
+    log_beta,
     normalize,
     osc,
     t_distance,
@@ -274,6 +276,28 @@ def finite_hilbert_reference(xw, yw):
     return max(logs) - min(logs)
 
 
+def log_beta_reference(x, y):
+    """Reference oracle: log beta as a Python loop over the support of y; None when y
+    has mass where x has none.
+
+    Ratio space on the same test as finite_hilbert_reference, else the max of libm
+    log differences.
+    """
+    idx = [i for i, w in enumerate(y.weights) if w > 0.0]
+    if any(x.weights[i] == 0.0 for i in idx):
+        return None
+    ratios = []
+    for i in idx:
+        r = y.weights[i] / x.weights[i]
+        if r == 0.0 or math.isinf(r):
+            ratios = None
+            break
+        ratios.append(r)
+    if ratios is not None and not math.isinf(max(ratios) / min(ratios)):
+        return math.log(max(ratios))
+    return max(math.log(y.weights[i]) - math.log(x.weights[i]) for i in idx)
+
+
 def hilbert_reference(x, y):
     """Scalar H with the support test and canonical operand order; inf off-face."""
     if x.support != y.support:
@@ -317,6 +341,38 @@ class TestKernelAgainstReference:
             t = 1.0 if math.isinf(ref) else math.tanh(ref / 4.0)
             assert t_distance(x, y).hex() == t.hex()
         assert sum(math.isinf(hilbert_reference(x, y)) for x, y in pairs) > 100
+
+    def test_log_beta_bit_identical(self, rng):
+        pairs = kernel_pairs(rng, 4000)
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                ref, got = log_beta_reference(a, b), log_beta(a, b)
+                assert (got is None) == (ref is None), (a, b)
+                assert ref is None or got.hex() == ref.hex(), (a, b)
+        assert sum(log_beta_reference(x, y) is None for x, y in pairs) > 100
+
+    def test_log_beta_within_an_ulp_where_max_over_min_overflows(self, rng):
+        # Every ratio y/x is finite and nonzero, but max/min is past e^709.8, so
+        # log beta is the max of libm log differences.  60-digit logs are the reference.
+        for _ in range(600):
+            n = int(rng.integers(2, 13))
+            lx = rng.uniform(-3.0, 3.0, n)
+            ly = rng.uniform(-400.0, 400.0, n)
+            ly[0], ly[-1] = rng.uniform(360.0, 400.0), rng.uniform(-400.0, -360.0)
+            x, y = V(tuple(np.exp(lx))), V(tuple(np.exp(ly)))
+            for a, b in ((x, y), (y, x)):
+                r = [q / p for p, q in zip(a.weights, b.weights)]
+                assert 0.0 < min(r) and max(r) < math.inf and max(r) / min(r) == math.inf
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    exact = max(Decimal(q).ln() - Decimal(p).ln()
+                                for p, q in zip(a.weights, b.weights))
+                    err = abs(Decimal(log_beta(a, b)) - exact)
+                assert err <= Decimal(math.ulp(float(exact))), (a, b)
+
+    def test_comparable_iff_h_finite(self, rng):
+        for x, y in kernel_pairs(rng, 4000):
+            assert comparable(x, y) == hilbert_distance(x, y).is_finite, (x, y)
 
     def test_extreme_branches_reached(self):
         big, small = math.exp(700), math.exp(-700)

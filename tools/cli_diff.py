@@ -9,7 +9,11 @@ exits 1 if any op differed.
 
 Most ops draw n in 2..7.  About 5% of the matrix ops draw n in 40..160, where
 the diameter pass runs in several blocks, and about 5% of the dist and bounds
-ops draw n in 1,000..10,000.
+ops draw n in 1,000..10,000.  About 5% of the dist and bounds ops draw both
+vectors with full support and weights exp(uniform(-s, s)), s = 350 or 700,
+instead of lognormal(0, 2) ones with 20% zeros, so that H reaches its
+log-space branch: at s = 700 on the raw vectors (dist), at s = 350 also after
+normalization, which keeps every weight above e^-700 (bounds).
 """
 
 import collections
@@ -62,6 +66,12 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
     def vec(n: int, zeros: float = 0.2) -> list[float]:
         return np.where(rng.random(n) < zeros, 0.0, rng.lognormal(0.0, 2.0, n)).tolist()
 
+    def pair(n: int) -> list[str]:  # 5% on one full support, with max/min ratios past float range
+        if rng.random() < 0.05:
+            s = rng.choice([350.0, 700.0])
+            return [doc(np.exp(rng.uniform(-s, s, n)).tolist()) for _ in range(2)]
+        return [doc(vec(n)), doc(vec(n + (rng.random() < 0.1)))]
+
     def chain(n: int) -> list[list[float]]:  # 20% with zeros, off a positive diagonal and n-cycle
         p = rng.uniform(0.05, 1.0, (n, n))
         if rng.random() < 0.2:  # the kept entries make the chain irreducible and aperiodic
@@ -76,7 +86,7 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
         return w
 
     args = {
-        "dist": lambda n: [doc(vec(n)), doc(vec(n + (rng.random() < 0.1)))],
+        "dist": pair,
         "tau": lambda n: [doc([vec(n, 0.1) for _ in range(n)])],
         "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", "20"],
         "tau-kernel": lambda n: [doc(rng.normal(0.0, 2.0, (n, n + 1)).tolist())],
