@@ -272,7 +272,18 @@ def _check_x0(x0: float) -> None:
         raise ValidationError(f"x0 must be finite, got {x0!r}")
 
 
+def _offsets(xs: np.ndarray, x0: float) -> np.ndarray:
+    """|xs - x0|, refused when one overflows; xs is increasing, so its ends bound every one."""
+    x0 = float(x0)  # Python floats overflow to inf without a numpy warning
+    if not math.isfinite(max(abs(float(xs[0]) - x0), abs(float(xs[-1]) - x0))):
+        raise DomainError("distance from a support point to x0 overflows a float; "
+                          "rescale the support points")
+    return np.abs(xs - x0)
+
+
 def _w1(xs: np.ndarray, m: np.ndarray, v: np.ndarray) -> float:
+    if not math.isfinite(float(xs[-1]) - float(xs[0])):  # the widest gap is at most this
+        raise DomainError("support gap overflows a float; rescale the support points")
     # Both running sums stay sequential, as in a loop: np.cumsum, never np.sum.
     cdf_gap = np.cumsum((m - v)[:-1])
     return float(np.cumsum(np.abs(cdf_gap) * np.diff(xs))[-1])
@@ -288,7 +299,7 @@ def _w1_bound(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, h: float)
     lhs = _w1(xs, m, v)
     if h == math.inf:
         return _report("W1", lhs, "(e^H-1)*m1(mu)", math.inf, applicable=False)
-    moment = math.fsum((np.abs(xs - x0) * m).tolist())
+    moment = math.fsum((_offsets(xs, x0) * m).tolist())
     return _report("W1", lhs, "(e^H-1)*m1(mu)", _expm1(h) * moment)
 
 
@@ -303,7 +314,11 @@ def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: Simpl
 
 def _moment_gap(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, q: float,
                 moment_of: str, h: float) -> BoundReport:
-    dq = np.array(list(map(pow, np.abs(xs - x0).tolist(), repeat(q))))  # |x - x0|**q on libm
+    try:
+        dq = np.array(list(map(pow, _offsets(xs, x0).tolist(), repeat(q))))  # |x - x0|**q on libm
+    except OverflowError:
+        raise DomainError(f"|x - x0|**q overflows a float for q={q!r}; "
+                          "rescale the support points") from None
     lhs = abs(math.fsum((dq * (m - v)).tolist()))
     lhs_name, name = f"|moment-gap q={q:g}|", f"K_{q:g}({moment_of})*(e^H-1)"
     if h == math.inf:

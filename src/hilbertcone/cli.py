@@ -147,26 +147,27 @@ def _cmd_tau_kernel(args, out) -> int:
     return 0
 
 
-def _rows_json(rows, fmt, pad: str):
-    """``json.dumps(rows, indent=2)`` for a list of number lists, row by row, indented by ``pad``."""
-    sep, lead = f",\n{pad}    ", "[\n"
-    for row in rows:
-        yield f"{lead}{pad}  [\n{pad}    " + sep.join(map(fmt, row)) + f"\n{pad}  ]"
-        lead = ",\n"
-    yield f"\n{pad}]"
+@functools.cache  # one template per row shape; a whole ball's would hold ~6 MB at S^13
+def _row(width: int, pad: str, fmt: str) -> str:
+    """The ``%`` template of one row of ``width`` numbers in an array indented by ``pad``."""
+    return f"{pad}  [\n{pad}    " + f",\n{pad}    ".join([fmt] * width) + f"\n{pad}  ]"
+
+
+def _rows_text(rows, fmt: str, pad: str) -> str:
+    """``json.dumps(rows, indent=2)`` for a non-empty list of equal-length number tuples."""
+    row = _row(len(rows[0]), pad, fmt)
+    return "[\n" + ",\n".join([row % r for r in rows]) + f"\n{pad}]"
 
 
 def _write_ball(ball: spx.BallPolytope, out, pad: str = "") -> None:
     """Write ``ball`` as ``json.dump(..., indent=2)`` does, indented by ``pad`` (see README)."""
     r, p = float.__repr__, pad + "  "
     out.write(f'{pad}{{\n{p}"center": [\n{p}  ' + f",\n{p}  ".join(map(r, ball.center.weights))
-              + f'\n{p}],\n{p}"radius": {r(ball.radius)},\n{p}"theta_vertices": ')
-    out.writelines(_rows_json((v.coords for v in ball.theta_vertices), r, p))
-    out.write(f',\n{p}"simplex_vertices": ')
-    out.writelines(_rows_json((v.weights for v in ball.simplex_vertices), r, p))
-    out.write(f',\n{p}"halfspaces": ')
-    out.writelines(_rows_json(ball.halfspaces, "%d".__mod__, p))
-    out.write(f"\n{pad}}}")
+              + f'\n{p}],\n{p}"radius": {r(ball.radius)},\n{p}"theta_vertices": '
+              + _rows_text([v.coords for v in ball.theta_vertices], "%r", p)
+              + f',\n{p}"simplex_vertices": '
+              + _rows_text([v.weights for v in ball.simplex_vertices], "%r", p)
+              + f',\n{p}"halfspaces": ' + _rows_text(ball.halfspaces, "%d", p) + f"\n{pad}}}")
 
 
 def _cmd_ball(args, out) -> int:

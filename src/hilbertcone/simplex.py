@@ -6,11 +6,14 @@ in slot k.  In these coordinates the Hilbert ball of radius R is a convex
 polytope with ``2*(2**n - 1)`` vertices, which this module enumerates in a
 fixed (sign, bitmask) order.  For n = 2 the balls are hexagons that tile the
 plane, and :func:`render_svg` draws them either in raw chart coordinates or
-inside the standard equilateral-triangle picture of the simplex.
+inside the standard equilateral-triangle picture of the simplex.  A ball, and
+a whole tiling, is built as one batch of vertices and checked once; only a
+failing batch is built again one ball at a time, to name the first failure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,6 +26,7 @@ from .errors import (
     CoordinateRangeError,
     DimensionError,
     DomainError,
+    HilbertConeError,
     UnsupportedDimensionError,
     ValidationError,
 )
@@ -60,12 +64,11 @@ class ThetaVector:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(float(c) for c in self.coords)
+        cs = tuple(map(float, self.coords))
         if self.chart_index < 0 or self.chart_index > len(cs):
             raise ValidationError(f"chart index {self.chart_index} out of range for n={len(cs)}")
-        for c in cs:
-            if not math.isfinite(c):
-                raise ValidationError("theta coordinates must be finite")
+        if not all(map(math.isfinite, cs)):
+            raise ValidationError("theta coordinates must be finite")
         object.__setattr__(self, "coords", cs)
 
     @property
@@ -131,7 +134,7 @@ def _softmax(full: tuple[float, ...]) -> tuple[float, ...]:
     hi = max(full)
     exps = [math.exp(c - hi) for c in full]
     total = math.fsum(exps)
-    return tuple(e / total for e in exps)
+    return tuple([e / total for e in exps])
 
 
 def _underflow(full: tuple[float, ...]) -> CoordinateRangeError:
@@ -182,12 +185,59 @@ def _check_vertices(thetas: list[tuple[float, ...]],
     return W
 
 
-def _trusted(cls, **fields):
-    """A frozen dataclass instance built without ``__post_init__``, for fields already checked."""
-    obj = object.__new__(cls)
-    # object.__setattr__ per field is slower, and raised cli-small peak RSS ~1.2 MB.
-    obj.__dict__.update(fields)
-    return obj
+def _trusted(cls, name: str, values: list, **fixed) -> list:
+    """One frozen dataclass per value of field ``name``, checked already: no ``__post_init__``."""
+    new, objs = object.__new__, []
+    for v in values:
+        obj = new(cls)
+        # object.__setattr__ per field is slower, and raised cli-small peak RSS ~1.2 MB.
+        fields = obj.__dict__
+        fields.update(fixed)
+        fields[name] = v
+        objs.append(obj)
+    return objs
+
+
+@functools.cache  # one tuple per dimension, shared by every ball on S^n
+def _halfspaces(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((i, k, sign)
+                 for i in range(n + 1) for k in range(i + 1, n + 1) for sign in (1, -1))
+
+
+def _balls(centers: list[SimplexPoint], radius: float) -> list[BallPolytope]:
+    """The balls of one radius around ``centers`` (of one dimension), checked as one batch.
+
+    A failing batch raises the error of its first failing vertex, or else of its first
+    ball that misses the sphere; so only one center at a time names the first failing ball.
+    """
+    for nu in centers:
+        _check_ball_center(nu)
+    _check_radius(radius)
+    thetas: list[tuple[float, ...]] = []
+    weights: list[tuple[float, ...]] = []
+    for nu in centers:
+        base = theta_chart(nu, 0).coords
+        for sign in (1, -1):
+            # float() as ThetaVector does, so a numpy radius yields the same Python floats.
+            moved = [float(b + sign * radius) for b in base]
+            # Coordinate i is moved when bit i of the mask is set.  product() varies its last
+            # factor fastest, so over reversed pairs it yields the masks in ascending order.
+            for rev in islice(product(*zip(base[::-1], moved[::-1])), 1, None):
+                coords = rev[::-1]
+                thetas.append(coords)
+                weights.append(_softmax((0.0, *coords)))
+    n = len(centers[0]) - 1
+    W = _check_vertices(thetas, weights).reshape(len(centers), -1, n + 1)
+    err = np.abs(osc(np.log(W) - np.log([nu.weights for nu in centers])[:, None]) - radius)
+    if err.max() > 1e-9:  # one max; the failing ball is looked up only here
+        worst = err.max(axis=1)
+        raise ValidationError(f"vertex misses the sphere by {worst[np.argmax(worst > 1e-9)]:.3g}")
+    halfspaces = _halfspaces(n)
+    tvs = _trusted(ThetaVector, "coords", thetas, chart_index=0)
+    pts = _trusted(SimplexPoint, "weights", weights)
+    r, v = float(radius), W.shape[1]
+    return [BallPolytope(nu, r, tuple(tvs[j:j + v]), tuple(pts[j:j + v]), halfspaces)
+            for j, nu in zip(range(0, len(tvs), v), centers)]
 
 
 def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
@@ -197,31 +247,7 @@ def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
     all nonempty subsets I of {1..n}, listed with sign ``+`` first and subsets
     in ascending bitmask order.  Balls are built up to S^13.
     """
-    _check_ball_center(nu)
-    _check_radius(radius)
-    n = len(nu) - 1
-    base = theta_chart(nu, 0).coords
-    thetas: list[tuple[float, ...]] = []
-    weights: list[tuple[float, ...]] = []
-    for sign in (1, -1):
-        # float() as ThetaVector does, so a numpy radius yields the same Python floats.
-        moved = [float(b + sign * radius) for b in base]
-        # Coordinate i is moved when bit i of the mask is set.  product() varies its
-        # last factor fastest, so over reversed pairs it yields the masks in ascending order.
-        for rev in islice(product(*zip(base[::-1], moved[::-1])), 1, None):
-            coords = rev[::-1]
-            thetas.append(coords)
-            weights.append(_softmax((0.0, *coords)))
-    W = _check_vertices(thetas, weights)
-    err = float(np.abs(osc(np.log(W) - np.log(nu.weights)) - radius).max())
-    if err > 1e-9:
-        raise ValidationError(f"vertex misses the sphere by {err:.3g}")
-    halfspaces = tuple(
-        (i, k, sign) for i in range(n + 1) for k in range(i + 1, n + 1) for sign in (1, -1)
-    )
-    tvs = tuple(_trusted(ThetaVector, chart_index=0, coords=c) for c in thetas)
-    pts = tuple(_trusted(SimplexPoint, weights=w) for w in weights)
-    return BallPolytope(nu, float(radius), tvs, pts, halfspaces)
+    return _balls([nu], radius)[0]
 
 
 def ball_contains(nu: SimplexPoint, radius: float, mu: SimplexPoint) -> bool:
@@ -250,14 +276,19 @@ def tile(center: SimplexPoint, radius: float, shells: int) -> list[BallPolytope]
     if shells < 0:
         raise ValidationError("shells must be >= 0")
     c0 = theta_chart(center, 0).coords
-    balls: list[BallPolytope] = []
-    for a in range(-shells, shells + 1):
-        for b in range(-shells, shells + 1):
-            if (abs(a) + abs(b) + abs(a + b)) // 2 > shells:
-                continue
-            ct = ThetaVector(0, (c0[0] + (2 * a + b) * radius, c0[1] + (a + 2 * b) * radius))
-            balls.append(ball_vertices(theta_inverse(ct), radius))
-    return balls
+    lattice = [(a, b) for a in range(-shells, shells + 1) for b in range(-shells, shells + 1)
+               if (abs(a) + abs(b) + abs(a + b)) // 2 <= shells]
+
+    def ball_center(a: int, b: int) -> SimplexPoint:
+        ct = ThetaVector(0, (c0[0] + (2 * a + b) * radius, c0[1] + (a + 2 * b) * radius))
+        return theta_inverse(ct)
+
+    try:
+        return _balls([ball_center(a, b) for a, b in lattice], radius)
+    except HilbertConeError:
+        for a, b in lattice:  # one ball at a time, to raise the first failing ball's error
+            _balls([ball_center(a, b)], radius)
+        raise
 
 
 class View(Enum):
@@ -283,10 +314,10 @@ def _view_point(p: BallPolytope, j: int, view: View) -> tuple[float, float]:
     if view is View.THETA_PLANE:
         c = p.theta_vertices[j].coords
         return (c[0], c[1])
+    # sum(w_i * corner_i) over _TRIANGLE, bit for bit: weights are finite and >= 0, so
+    # the terms w_0 * 0.0 and w_1 * 0.0 add an exact 0.0.
     w = p.simplex_vertices[j].weights
-    x = sum(wi * tx for wi, (tx, _) in zip(w, _TRIANGLE))
-    y = sum(wi * ty for wi, (_, ty) in zip(w, _TRIANGLE))
-    return (x, y)
+    return (w[1] + w[2] * 0.5, w[2] * _TRIANGLE[2][1])
 
 
 def _hull_order(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -325,6 +356,9 @@ def render_svg(polytopes: list[BallPolytope], view: View, style: RenderStyle | N
     def flip(y: float) -> float:
         return y0 + y1 - y
 
+    def path(points) -> str:  # "M x y L x y ...", with y flipped
+        return "M " + " L ".join([f"{_fmt(x)} {_fmt(flip(y))}" for x, y in points])
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -333,23 +367,15 @@ def render_svg(polytopes: list[BallPolytope], view: View, style: RenderStyle | N
     ]
     frame = f'fill="none" stroke="{style.frame_stroke}" stroke-width="{_fmt(sw)}"'
     if view is View.SIMPLEX_2D:
-        d = " ".join(
-            f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(flip(y))}"
-            for i, (x, y) in enumerate(_TRIANGLE)
-        )
-        lines.append(f'<path d="{d} Z" {frame}/>')
+        lines.append(f'<path d="{path(_TRIANGLE)} Z" {frame}/>')
     else:
         lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(flip(0.0))}" '
                      f'x2="{_fmt(x1)}" y2="{_fmt(flip(0.0))}" {frame}/>')
         lines.append(f'<line x1="{_fmt(0.0)}" y1="{_fmt(y0)}" '
                      f'x2="{_fmt(0.0)}" y2="{_fmt(y1)}" {frame}/>')
     for outline in outlines:
-        d = " ".join(
-            f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(flip(y))}"
-            for i, (x, y) in enumerate(outline)
-        )
         lines.append(
-            f'<path d="{d} Z" fill="{style.fill}" stroke="{style.stroke}" '
+            f'<path d="{path(outline)} Z" fill="{style.fill}" stroke="{style.stroke}" '
             f'stroke-width="{_fmt(sw)}"/>'
         )
     lines.append("</svg>")

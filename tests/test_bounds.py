@@ -385,6 +385,22 @@ def test_non_finite_bound_inputs_are_validation_errors(call, message):
         call()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    (lambda: moment_gap_bound([0, 1e200], MU2, NU2, x0=0.0, q=2.0), r"\|x - x0\|\*\*q overflows"),
+    (lambda: moment_gap_bound([0, 1e308], MU2, NU2, x0=-1e308, q=1.0), "to x0 overflows"),
+    (lambda: w1_bound_from_h([0, 1e308], MU2, NU2, x0=-1e308), "to x0 overflows"),
+    (lambda: w1_bound_from_h([-1e308, 1e308], MU2, NU2, x0=0.0), "gap overflows"),
+    (lambda: w1_exact_1d([-1e308, 1e308], MU2, NU2), "gap overflows"),
+], ids=["pow", "moment-offset", "w1-offset", "w1-gap", "exact-gap"])
+def test_bound_overflow_is_a_domain_error(call, message):
+    # Finite inputs whose differences or powers leave float range: no bare
+    # OverflowError, no numpy warning, and the message names the rescaling.
+    with pytest.raises(DomainError, match=message) as info:
+        call()
+    assert str(info.value).endswith("; rescale the support points")
+
+
 class TestMomentGap:
     def test_holds_q1_q2(self, rng):
         for _ in range(200):

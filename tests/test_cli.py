@@ -359,6 +359,16 @@ class TestCleanErrors:
         assert time.perf_counter() - start < 1.0
         assert single_error_line(capsys)
 
+    def test_markov_above_the_step_cap(self, tmp_path, monkeypatch, capsys):
+        # 10^8 steps would keep ~39 GB of rows; the count is refused before the walk.
+        monkeypatch.setattr(contraction, "_iterates", None)  # a walk would raise TypeError
+        p = write(tmp_path, "p.json", "[[0.75, 0.25], [0.25, 0.75]]")
+        mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")
+        start = time.perf_counter()
+        assert run(["markov", p, mu0, "100000000"]) == (1, "")
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: steps must be <= 1000000, got 100000000\n"
+
     def test_periodic_chain_has_no_stationary_distribution(self, tmp_path, capsys):
         p = write(tmp_path, "p.json", "[[0, 1], [1, 0]]")
         mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")

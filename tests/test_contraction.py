@@ -604,6 +604,17 @@ class TestMarkovConverge:
         assert want[0] is CertificationError
         assert outcome(lambda: markov_converge(chain, mu0, 5)) == want
 
+    def test_step_cap_is_checked_before_the_walk(self, monkeypatch):
+        def walk(mu0, P):
+            raise RuntimeError("walked")
+
+        monkeypatch.setattr(contraction, "_iterates", walk)
+        chain, mu0 = [[0.75, 0.25], [0.25, 0.75]], SimplexPoint((0.9, 0.1))
+        with pytest.raises(RuntimeError, match="walked"):
+            markov_converge(chain, mu0, 1_000_000)
+        with pytest.raises(ValidationError, match="steps must be <= 1000000, got 1000001"):
+            markov_converge(chain, mu0, 1_000_001)
+
     def test_infinite_start_bound_is_vacuous(self):
         run = markov_converge([[0.75, 0.25], [0.25, 0.75]], SimplexPoint((1.0, 0.0)), 3)
         assert math.isinf(run.steps[0].hilbert)

@@ -8,6 +8,7 @@ from hilbertcone import (
     BallPolytope,
     CoordinateRangeError,
     DomainError,
+    HilbertConeError,
     RenderStyle,
     SimplexPoint,
     ThetaVector,
@@ -23,7 +24,7 @@ from hilbertcone import (
     theta_inverse,
     tile,
 )
-from hilbertcone.simplex import _check_vertices, _softmax, _underflow
+from hilbertcone.simplex import _check_vertices, _softmax, _underflow, _view_point
 from conftest import random_simplex
 
 UNIFORM3 = SimplexPoint((1 / 3, 1 / 3, 1 / 3))
@@ -361,6 +362,57 @@ class TestTile:
         with pytest.raises(error) as info:
             tile(theta_inverse(ThetaVector(0, chart)), 250.0, shells)
         assert type(info.value) is error and str(info.value) == message
+
+
+def _float_fields(ball):
+    """Every float of a ball as float.hex, and its halfspaces: equal only if bit for bit."""
+    floats = (*ball.center.weights, ball.radius,
+              *(c for v in ball.theta_vertices for c in v.coords),
+              *(w for v in ball.simplex_vertices for w in v.weights))
+    return list(map(float.hex, floats)), ball.halfspaces
+
+
+def _outcome(build):
+    try:
+        return [_float_fields(b) for b in build()]
+    except HilbertConeError as exc:
+        return type(exc), str(exc)
+
+
+def test_tiling_is_its_balls_built_one_by_one(rng):
+    # tile builds and checks all balls as one batch; the reference builds each ball of
+    # the lattice on its own.  Same balls bit for bit, or the same first error.
+    radii = [1e-300, 0.5, 250.0, 12345.678, *(10.0 ** rng.uniform(-300, 4.09, size=8))]
+    failed = 0
+    for radius in radii:
+        for shells in range(4):
+            center = random_simplex(rng, 3)
+            c0 = theta_chart(center, 0).coords
+            lattice = [(a, b) for a in range(-shells, shells + 1)
+                       for b in range(-shells, shells + 1)
+                       if abs(a) + abs(b) + abs(a + b) <= 2 * shells]
+
+            def one_by_one():
+                return [ball_vertices(theta_inverse(ThetaVector(
+                    0, (c0[0] + (2 * a + b) * radius, c0[1] + (a + 2 * b) * radius))), radius)
+                    for a, b in lattice]
+
+            batch, reference = _outcome(lambda: tile(center, radius, shells)), _outcome(one_by_one)
+            assert batch == reference, (radius, shells)
+            failed += isinstance(reference, tuple)
+    assert 0 < failed < len(radii) * 4  # both outcomes are exercised
+
+
+def test_simplex_view_point_is_the_corner_sum(rng):
+    # The closed form against sum(w_i * corner_i), bit for bit, on every vertex.
+    corners = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
+    for radius in (1e-300, 1e-5, 0.3, 2.0, 20.0, 300.0):
+        for _ in range(20):
+            ball = ball_vertices(random_simplex(rng, 3, spread=6.0), radius)
+            for j, v in enumerate(ball.simplex_vertices):
+                ref = [sum(w * corner[k] for w, corner in zip(v.weights, corners)) for k in (0, 1)]
+                got = _view_point(ball, j, View.SIMPLEX_2D)
+                assert list(map(float.hex, got)) == list(map(float.hex, ref))
 
 
 def _ball_paths(svg):

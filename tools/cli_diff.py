@@ -4,8 +4,10 @@
 
 Each tree runs every op in one subprocess.  Per subcommand, the script prints
 how many ops gave the same exit code, stdout, stderr and SVG file on both
-sides, and the same for the large ops alone ("tau n>=40" and so on).  It
-exits 1 if any op differed.
+sides, and the same for the large ops alone ("tau n>=40" and so on).  Then,
+for each subcommand with differing ops, it prints up to 3 of them: the argv
+and which of exit code, stderr, stdout and SVG differed.  The input files are
+deleted when the script ends.  It exits 1 if any op differed.
 
 Most ops draw n in 2..7.  About 5% of the matrix ops draw n in 40..160, where
 the diameter pass runs in several blocks, and about 5% of the dist and bounds
@@ -49,6 +51,8 @@ json.dump(res, sys.stdout)
 COMMANDS = "dist bounds tau tau-kernel verify markov ball ball tile tile".split()
 RADII = "1e-300 1e-05 0.1 0.5 1 3 12345.678 720 730 800 1e308 inf nan 0 -1".split()
 MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", "[]", "{}", "1,x", "[true, 1]", "nan"]
+PARTS = ("exit code", "stderr", "stdout", "SVG")  # the fields of one RUNNER result
+SHOWN = 3  # differing ops printed per subcommand
 LARGE = {"tau": (40, 160), "verify": (40, 160), "tau-kernel": (40, 160), "markov": (40, 160),
          "dist": (1000, 10000), "bounds": (1000, 10000)}
 
@@ -117,15 +121,21 @@ def main(old_src: str, new_src: str, seed: str = "0", ops: str = "4000") -> int:
         argvs = [argv for argv, _ in drawn]
         old, new = [run_side(src, argvs, Path(tmp)) for src in (old_src, new_src)]
     tally = collections.defaultdict(collections.Counter)
+    differing = collections.defaultdict(list)
     for (argv, large), a, b in zip(drawn, old, new):
         keys = [argv[0], "total"]
         if large:
             keys.append(f"{argv[0]} n>={LARGE[argv[0]][0]}")
         for key in keys:
             tally[key]["identical" if a == b else "differing"] += 1
+        if a != b:
+            differing[argv[0]].append((argv, [part for part, x, y in zip(PARTS, a, b) if x != y]))
     for cmd in sorted(tally, key=lambda k: (k == "total", k)):
         print(f"{cmd:16s} identical {tally[cmd]['identical']:5d}  "
               f"differing {tally[cmd]['differing']:5d}")
+    for cmd in sorted(differing):
+        for argv, parts in differing[cmd][:SHOWN]:
+            print(f"differs in {', '.join(parts)}: {' '.join(argv)}")
     return 1 if tally["total"]["differing"] else 0
 
 
