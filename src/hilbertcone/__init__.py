@@ -1,80 +1,13 @@
-"""Hilbert projective metric, Birkhoff contraction, and simplex geometry."""
+"""Hilbert projective metric, Birkhoff contraction, and simplex geometry.
 
-from .core import (
-    ExtendedDistance,
-    INFINITE,
-    LogDensityVector,
-    PositiveVector,
-    SimplexPoint,
-    beta,
-    comparable,
-    hilbert_distance,
-    hilbert_from_log_densities,
-    log_beta,
-    normalize,
-    osc,
-    t_distance,
-    theta_seminorm,
-)
-from .contraction import (
-    ContractionReport,
-    GridKernel,
-    MarkovRun,
-    MarkovStep,
-    NonnegMatrix,
-    birkhoff_phi,
-    birkhoff_tau,
-    grid_kernel_phi,
-    grid_kernel_tau,
-    kernel_apply,
-    markov_converge,
-    projective_diameter,
-    verify_contraction,
-)
-from .simplex import (
-    BallPolytope,
-    RenderStyle,
-    ThetaVector,
-    View,
-    ball_contains,
-    ball_vertices,
-    hilbert_via_theta,
-    render_svg,
-    theta_chart,
-    theta_inverse,
-    tile,
-)
-from .bounds import (
-    BoundReport,
-    ConvexFunctionSpec,
-    F_CHI2,
-    F_HELLINGER,
-    F_KL,
-    F_TV_HALF,
-    atar_zeitouni_bound,
-    bound_reports,
-    f_divergence,
-    f_divergence_envelope,
-    kl_divergence,
-    kl_from_h_bound,
-    moment_gap_bound,
-    sharpness_witness,
-    subset_sup_bound,
-    t_upper_from_tv,
-    tv_distance,
-    tv_from_t_bound,
-    vertex_l1_bound,
-    w1_bound_from_h,
-    w1_exact_1d,
-)
-from .errors import (
-    CertificationError,
-    CoordinateRangeError,
-    DimensionError,
-    DomainError,
-    HilbertConeError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
+The package exports each layer's ``__all__`` and the error classes; those
+lists are the one statement of the public API.
+"""
+
+from .core import *  # noqa: F403
+from .contraction import *  # noqa: F403
+from .simplex import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .errors import *  # noqa: F403  (no __all__: its public names are the error classes)
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ absolute tolerance.  Total variation uses the factor-2 (ell^1) convention, so
 ``sup_A |mu(A) - nu(A)| = tv / 2``.
 
 Each public function is a thin wrapper over a private form that takes the
-pair's weights as arrays ``m``, ``v`` (KL: the weight tuples) and its
+pair's weights as arrays ``m``, ``v`` (KL and tv: the weight tuples) and its
 ``h = H(mu, nu)`` or ``tv``, so that a caller evaluating several reports
 computes each once.  The private forms keep the scalar arithmetic's bits:
 element-wise ``+ - * / abs`` run in numpy, sums go through ``math.fsum``
@@ -29,6 +29,7 @@ from .core import (
     SimplexPoint,
     _check_lengths,
     _t,
+    _tv,
     comparable,
     hilbert_distance,
 )
@@ -100,13 +101,10 @@ def _h(mu: SimplexPoint, nu: SimplexPoint) -> float:
     return float(hilbert_distance(mu, nu))
 
 
-def _tv(m: np.ndarray, v: np.ndarray) -> float:
-    return math.fsum(np.abs(m - v).tolist())
-
-
 def tv_distance(mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Total variation with the factor-2 convention: the ell^1 distance, in [0, 2]."""
-    return _tv(*_arrays(mu, nu))
+    _check_lengths(mu, nu)
+    return _tv(mu.weights, nu.weights)
 
 
 def _tv_from_t(tv: float, h: float) -> BoundReport:
@@ -354,7 +352,7 @@ def _t_upper_from_tv(m: np.ndarray, v: np.ndarray, tv: float, h: float) -> Bound
 def t_upper_from_tv(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """T <= (tv/2) / (2 * min single-atom mass); needs full support on both sides."""
     m, v = _arrays(mu, nu)
-    return _t_upper_from_tv(m, v, _tv(m, v), _h(mu, nu))
+    return _t_upper_from_tv(m, v, _tv(mu.weights, nu.weights), _h(mu, nu))
 
 
 def _subset_sup(m: np.ndarray, v: np.ndarray, h: float) -> BoundReport:
@@ -400,7 +398,7 @@ def bound_reports(mu: SimplexPoint, nu: SimplexPoint) -> list[BoundReport]:
     0, 1, ..., n-1 with x0 = 0, then kl_from_h.
     """
     m, v = _arrays(mu, nu)
-    h, tv = _h(mu, nu), _tv(m, v)
+    h, tv = _h(mu, nu), _tv(mu.weights, nu.weights)
     xs = np.arange(float(len(mu)))
     return [
         _tv_from_t(tv, h),

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -43,7 +44,9 @@ def _number_rows(rows) -> list[list[float]]:
         if not set(map(type, row)) <= {float}:  # checked in bulk; the loop names the entry
             for j, v in enumerate(row):
                 if not isinstance(v, float):  # numpy would coerce a bool or a numeric string
-                    raise ValidationError(f"entry at ({i}, {j}) is not a number: {v!r}")
+                    # reprlib bounds the echo of a long string or a deeply nested array
+                    raise ValidationError(f"entry at ({i}, {j}) is not a number: "
+                                          f"{reprlib.repr(v)}")
     return rows
 
 
@@ -75,6 +78,8 @@ def parse_input(text: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr
             raise ValidationError(
                 f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValidationError("JSON document is nested too deeply") from None
     else:
         data = _parse_csv(text)
 

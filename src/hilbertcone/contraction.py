@@ -36,6 +36,8 @@ from .core import (
     _extended,
     _hilbert_weights,
     _t,
+    _tv,
+    _unit_mass,
     hilbert_distance,  # not called here; kept so that contraction.hilbert_distance resolves
     osc,
 )
@@ -284,18 +286,13 @@ class MarkovRun:
     nonexpansive_only: bool  # tau == 1: the bound degenerates to non-expansiveness
 
 
-def _unit_mass(row: np.ndarray) -> list[float]:
-    """The weights normalize() gives for row, without building a SimplexPoint."""
-    return (row / math.fsum(row.tolist())).tolist()
-
-
-def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[list[float]]:
+def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[tuple[float, ...]]:
     """The unit masses of mu_1, mu_2, ... of mu_{k+1} = mu_k P."""
     cur = np.asarray(mu0.weights)
     while True:
         cur = cur @ P.entries
         cur = cur / cur.sum()
-        yield _unit_mass(cur)
+        yield _unit_mass(cur.tolist())
 
 
 def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
@@ -322,7 +319,7 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
     tau = birkhoff_tau(P)
 
     walk = _iterates(mu0, P)
-    prev, kept = _unit_mass(np.asarray(mu0.weights)), []
+    prev, kept = _unit_mass(mu0.weights), []
     for k, mass in enumerate(islice(walk, 100_000), 1):
         h = _hilbert_weights(prev, mass)
         if k <= steps:
@@ -332,12 +329,12 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
         prev = mass
     else:
         raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
-    pi = SimplexPoint(tuple(mass))  # the weights normalize() gives for mu_K
+    pi = SimplexPoint(mass)  # the weights normalize() gives for mu_K
 
     later = islice(walk, steps - len(kept))
-    # (H, tv) to pi of mu_0 .. mu_steps; tv is a sequential sum, as in a loop.
-    dists = [(_hilbert_weights(mw, mass), sum(abs(a - b) for a, b in zip(mw, mass)))
-             for mw in chain([list(mu0.weights)], kept, later)]
+    # (H, tv) to pi of mu_0 .. mu_steps
+    dists = [(_hilbert_weights(mw, mass), _tv(mw, mass))
+             for mw in chain([mu0.weights], kept, later)]
     h0 = dists[0][0]
     rows: list[MarkovStep] = []
     for k, (hk, tv) in enumerate(dists):

@@ -16,10 +16,10 @@ which keeps the metric usable for weights up to ``e**700`` in either direction.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence, Sized
+from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import truediv
+from operator import sub, truediv
 
 import numpy as np
 
@@ -226,6 +226,11 @@ def _t(h: float) -> float:
     return math.tanh(h / 4.0)
 
 
+def _tv(aw: Iterable[float], bw: Iterable[float]) -> float:
+    """The ell^1 distance between two weight sequences, correctly rounded by ``fsum``."""
+    return math.fsum(map(abs, map(sub, aw, bw)))
+
+
 def t_distance(x: PositiveVector, y: PositiveVector) -> float:
     """tanh(H/4) with tanh(inf) := 1; always in [0, 1]."""
     return _t(float(hilbert_distance(x, y)))
@@ -237,13 +242,18 @@ def comparable(x: PositiveVector, y: PositiveVector) -> bool:
     return list(map(bool, x.weights)) == list(map(bool, y.weights))
 
 
-def normalize(x: PositiveVector) -> SimplexPoint:
-    """Scale x to unit total mass."""
+def _unit_mass(ws: Sequence[float]) -> tuple[float, ...]:
+    """w / fsum(ws) for each weight w, by IEEE division: the weights of normalize()."""
     try:
-        total = math.fsum(x.weights)
+        total = math.fsum(ws)
     except OverflowError as exc:
         raise DomainError("total mass overflows a float; rescale the weights") from exc
-    return SimplexPoint(tuple(map(truediv, x.weights, repeat(total))))  # w / total
+    return tuple(map(truediv, ws, repeat(total)))
+
+
+def normalize(x: PositiveVector) -> SimplexPoint:
+    """Scale x to unit total mass."""
+    return SimplexPoint(_unit_mass(x.weights))
 
 
 def theta_seminorm(f: LogDensityVector) -> float:

@@ -369,6 +369,50 @@ class TestCleanErrors:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == "error: steps must be <= 1000000, got 100000000\n"
 
+    def test_tile_above_the_shell_cap(self, tmp_path, capsys):
+        # 10^6 shells would be 3 * 10^12 balls; the count is refused before the lattice.
+        c, svg = write(tmp_path, "c.json", "[1, 1, 1]"), tmp_path / "t.svg"
+        start = time.perf_counter()
+        for shells in ("101", "1000000"):
+            assert run(["tile", c, "0.01", shells, "--svg", str(svg)]) == (1, "")
+            assert capsys.readouterr().err == f"error: shells must be <= 100, got {shells}\n"
+        assert time.perf_counter() - start < 1.0
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("dist", "[" * 1000 + "]" * 1000),
+        ("tau", "[" * 1000 + "1" + "]" * 1000),
+        ("tau-kernel", '{"log_values": ' + "[" * 1000 + "]" * 1000 + "}"),
+    ])
+    def test_deeply_nested_document(self, tmp_path, capsys, command, doc):
+        argv = [command, write(tmp_path, "deep.json", doc)]
+        if command == "dist":
+            argv.append(write(tmp_path, "v.json", "[1, 2]"))
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == "error: JSON document is nested too deeply\n"
+
+    def test_nested_entry_is_echoed_briefly(self, tmp_path, capsys):
+        v = write(tmp_path, "v.json", "[1, 2]")
+        f = write(tmp_path, "deep.json", "[" * 50 + "1" + "]" * 50)
+        assert run(["dist", f, v]) == (1, "")
+        err = capsys.readouterr().err
+        assert err == "error: entry at (0, 0) is not a number: [[[[[[[...]]]]]]]\n"
+        f = write(tmp_path, "s.json", '[1, "%s"]' % ("x" * 100))
+        assert run(["dist", f, v]) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry at (0, 1) is not a number: 'xxx") and len(err) < 100
+
+    @pytest.mark.parametrize("depth", [900, 1000])
+    def test_deeply_nested_document_in_a_subprocess(self, tmp_path, depth):
+        f = write(tmp_path, "deep.json", "[" * depth + "1" + "]" * depth)
+        v = write(tmp_path, "v.json", "[1, 2]")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "hilbertcone", "dist", f, v],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert len(proc.stderr) < 100, proc.stderr
+
     def test_periodic_chain_has_no_stationary_distribution(self, tmp_path, capsys):
         p = write(tmp_path, "p.json", "[[0, 1], [1, 0]]")
         mu0 = write(tmp_path, "mu0.json", "[0.9, 0.1]")

@@ -28,6 +28,7 @@ from hilbertcone import (
     normalize,
     projective_diameter,
     t_distance,
+    tv_distance,
     verify_contraction,
 )
 from hilbertcone import contraction
@@ -472,7 +473,7 @@ def markov_two_walks(P, mu0, steps):
             bound = (tau**k) * h0
         if math.isfinite(bound) and hk > bound + 1e-9:
             raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
-        tv = sum(abs(a - b) for a, b in zip(mw, pw))
+        tv = math.fsum(abs(a - b) for a, b in zip(mw, pw))
         rows.append(MarkovStep(k, hk, math.tanh(hk / 4.0), tv, bound))
     return MarkovRun(tuple(rows), pi, tau, nonexpansive_only=(tau >= 1.0)), K
 
@@ -567,7 +568,7 @@ class TestMarkovConverge:
                     bound = math.inf if run.tau > 0.0 or k == 0 else 0.0
                 else:
                     bound = run.tau**k * h0
-                tv = sum(abs(x - y) for x, y in zip(mu.weights, pi.weights))
+                tv = math.fsum(abs(x - y) for x, y in zip(mu.weights, pi.weights))
                 want = (k, h, t_distance(mu, pi), tv, bound)
                 assert [v.hex() if isinstance(v, float) else v for v in step] == [
                     v.hex() if isinstance(v, float) else v for v in want
@@ -591,6 +592,25 @@ class TestMarkovConverge:
             want = outcome(lambda: markov_two_walks(p, mu0, steps)[0])
             assert outcome(lambda: markov_converge(p, mu0, steps)) == want, case
         assert seen == {-1, 0, 1}
+
+    def test_tv_column_is_tv_distance(self, rng):
+        """Each row's tv is tv_distance(mu_k, pi) bit for bit, within n ulp of a sequential sum."""
+        rows = moved = 0
+        for case in range(300):
+            n = int(rng.integers(40, 121) if case % 30 == 0 else rng.integers(2, 9))
+            p = random_chain(rng, n)
+            mu0 = normalize(PositiveVector(tuple(np.exp(rng.uniform(-3.0, 3.0, size=n)))))
+            run = markov_converge(p, mu0, 20)
+            pi, mu, arr = run.stationary, mu0, np.asarray(mu0.weights)
+            for step in run.steps:
+                assert step.tv.hex() == tv_distance(mu, pi).hex(), (case, step.step)
+                sequential = sum(abs(x - y) for x, y in zip(mu.weights, pi.weights))
+                assert abs(step.tv - sequential) <= n * 2.0**-53 * step.tv
+                rows, moved = rows + 1, moved + (step.tv != sequential)
+                arr = arr @ p
+                arr = arr / arr.sum()
+                mu = normalize(PositiveVector(tuple(arr)))
+        assert rows == 300 * 21 and moved > 0  # the declared last-bit change is real
 
     def test_one_walk_matches_two_walks_on_errors(self, monkeypatch):
         periodic, chain = [[0.0, 1.0], [1.0, 0.0]], [[0.75, 0.25], [0.25, 0.75]]

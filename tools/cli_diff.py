@@ -7,7 +7,9 @@ how many ops gave the same exit code, stdout, stderr and SVG file on both
 sides, and the same for the large ops alone ("tau n>=40" and so on).  Then,
 for each subcommand with differing ops, it prints up to 3 of them: the argv
 and which of exit code, stderr, stdout and SVG differed.  The input files are
-deleted when the script ends.  It exits 1 if any op differed.
+deleted on a clean run.  If any op differed, the script keeps them, prints the
+directory that holds them, and exits 1; a printed argv then re-runs from that
+directory (``cd`` there, then ``hilbertcone`` and the argv).
 
 Most ops draw n in 2..7.  About 5% of the matrix ops draw n in 40..160, where
 the diameter pass runs in several blocks, and about 5% of the dist and bounds
@@ -22,6 +24,7 @@ import collections
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -116,10 +119,14 @@ def run_side(src: str, ops, work: Path) -> list:
 
 
 def main(old_src: str, new_src: str, seed: str = "0", ops: str = "4000") -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        drawn = make_ops(np.random.default_rng(int(seed)), int(ops), Path(tmp))
+    work = Path(tempfile.mkdtemp(prefix="cli_diff_"))
+    try:
+        drawn = make_ops(np.random.default_rng(int(seed)), int(ops), work)
         argvs = [argv for argv, _ in drawn]
-        old, new = [run_side(src, argvs, Path(tmp)) for src in (old_src, new_src)]
+        old, new = [run_side(src, argvs, work) for src in (old_src, new_src)]
+    except BaseException:
+        shutil.rmtree(work)
+        raise
     tally = collections.defaultdict(collections.Counter)
     differing = collections.defaultdict(list)
     for (argv, large), a, b in zip(drawn, old, new):
@@ -133,10 +140,14 @@ def main(old_src: str, new_src: str, seed: str = "0", ops: str = "4000") -> int:
     for cmd in sorted(tally, key=lambda k: (k == "total", k)):
         print(f"{cmd:16s} identical {tally[cmd]['identical']:5d}  "
               f"differing {tally[cmd]['differing']:5d}")
+    if not differing:
+        shutil.rmtree(work)
+        return 0
     for cmd in sorted(differing):
         for argv, parts in differing[cmd][:SHOWN]:
             print(f"differs in {', '.join(parts)}: {' '.join(argv)}")
-    return 1 if tally["total"]["differing"] else 0
+    print(f"inputs kept in {work}; run a printed argv from there")
+    return 1
 
 
 if __name__ == "__main__":
