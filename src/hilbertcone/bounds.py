@@ -78,9 +78,10 @@ class BoundReport:
 
 def _report(lhs_name: str, lhs: float, rhs_name: str, rhs: float,
             applicable: bool = True) -> BoundReport:
-    """The one report constructor: an infinite rhs is vacuous, so its slack is inf, never nan."""
+    """The one report constructor, with plain float values; an infinite rhs is vacuous."""
     slack = math.inf if rhs == math.inf else rhs - lhs
-    return BoundReport(lhs_name, rhs_name, lhs, rhs, slack, slack >= -_TOL, applicable)
+    return BoundReport(lhs_name, rhs_name, float(lhs), float(rhs), slack, slack >= -_TOL,
+                       applicable)
 
 
 def _expm1(h: float) -> float:
@@ -97,10 +98,6 @@ def _arrays(mu: SimplexPoint, nu: SimplexPoint) -> tuple[np.ndarray, np.ndarray]
     return np.array(mu.weights), np.array(nu.weights)
 
 
-def _h(mu: SimplexPoint, nu: SimplexPoint) -> float:
-    return float(hilbert_distance(mu, nu))
-
-
 def tv_distance(mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Total variation with the factor-2 convention: the ell^1 distance, in [0, 2]."""
     _check_lengths(mu, nu)
@@ -113,7 +110,7 @@ def _tv_from_t(tv: float, h: float) -> BoundReport:
 
 def tv_from_t_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """The sharp bound tv <= 2 tanh(H/4); holds for every pair."""
-    return _tv_from_t(tv_distance(mu, nu), _h(mu, nu))
+    return _tv_from_t(tv_distance(mu, nu), hilbert_distance(mu, nu))
 
 
 def _atar_zeitouni(tv: float, h: float) -> BoundReport:
@@ -125,7 +122,7 @@ def _atar_zeitouni(tv: float, h: float) -> BoundReport:
 
 def atar_zeitouni_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """The older linear bound tv <= (2/log 3) * H; inapplicable when H is infinite."""
-    return _atar_zeitouni(tv_distance(mu, nu), _h(mu, nu))
+    return _atar_zeitouni(tv_distance(mu, nu), hilbert_distance(mu, nu))
 
 
 def _g_plus(s: float, c: float, r: float) -> float:
@@ -187,7 +184,7 @@ def _kl_from_h(kl: float, h: float) -> BoundReport:
 
 def kl_from_h_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """KL(mu || nu) <= H(mu, nu); inapplicable when H is infinite."""
-    return _kl_from_h(float(kl_divergence(mu, nu)), _h(mu, nu))
+    return _kl_from_h(kl_divergence(mu, nu), hilbert_distance(mu, nu))
 
 
 @dataclass(frozen=True)
@@ -247,8 +244,11 @@ def f_divergence(mu: SimplexPoint, nu: SimplexPoint, f: ConvexFunctionSpec) -> f
     """sum_i nu[i] f(mu[i]/nu[i]) over the common support; supports must match."""
     if not comparable(mu, nu):
         raise DomainError("f-divergence bound requires equal supports")
-    val = math.fsum(v * f(m / v) for m, v in zip(mu.weights, nu.weights) if v > 0.0)
-    env = f_divergence_envelope(f, float(hilbert_distance(mu, nu)))
+    try:
+        val = math.fsum(v * f(m / v) for m, v in zip(mu.weights, nu.weights) if v > 0.0)
+    except OverflowError:  # raised by f, e.g. (u - 1)**2, or by fsum's partial sums
+        raise DomainError("f-divergence is past float range") from None
+    env = f_divergence_envelope(f, hilbert_distance(mu, nu))
     if val > env + _TOL:
         raise CertificationError(f"f-divergence {val!r} exceeds its envelope {env!r}")
     return val
@@ -307,7 +307,7 @@ def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: Simpl
     _check_x0(x0)
     m, v = _arrays(mu, nu)
     xs = _check_support_points(support_points, len(mu))
-    return _w1_bound(xs, m, v, x0, _h(mu, nu))
+    return _w1_bound(xs, m, v, x0, hilbert_distance(mu, nu))
 
 
 def _moment_gap(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, q: float,
@@ -339,7 +339,7 @@ def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: Simp
         raise ValidationError(f"q must be finite and >= 0, got {q!r}")
     m, v = _arrays(mu, nu)
     xs = _check_support_points(support_points, len(mu))
-    return _moment_gap(xs, m, v, x0, q, moment_of, _h(mu, nu))
+    return _moment_gap(xs, m, v, x0, q, moment_of, hilbert_distance(mu, nu))
 
 
 def _t_upper_from_tv(m: np.ndarray, v: np.ndarray, tv: float, h: float) -> BoundReport:
@@ -352,7 +352,7 @@ def _t_upper_from_tv(m: np.ndarray, v: np.ndarray, tv: float, h: float) -> Bound
 def t_upper_from_tv(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """T <= (tv/2) / (2 * min single-atom mass); needs full support on both sides."""
     m, v = _arrays(mu, nu)
-    return _t_upper_from_tv(m, v, _tv(mu.weights, nu.weights), _h(mu, nu))
+    return _t_upper_from_tv(m, v, _tv(mu.weights, nu.weights), hilbert_distance(mu, nu))
 
 
 def _subset_sup(m: np.ndarray, v: np.ndarray, h: float) -> BoundReport:
@@ -366,7 +366,7 @@ def _subset_sup(m: np.ndarray, v: np.ndarray, h: float) -> BoundReport:
 def subset_sup_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """sup over index subsets of the mass gap (= tv/2) is at most T."""
     m, v = _arrays(mu, nu)
-    return _subset_sup(m, v, _h(mu, nu))
+    return _subset_sup(m, v, hilbert_distance(mu, nu))
 
 
 def sharpness_witness(radius: float) -> tuple[SimplexPoint, SimplexPoint]:
@@ -398,7 +398,7 @@ def bound_reports(mu: SimplexPoint, nu: SimplexPoint) -> list[BoundReport]:
     0, 1, ..., n-1 with x0 = 0, then kl_from_h.
     """
     m, v = _arrays(mu, nu)
-    h, tv = _h(mu, nu), _tv(mu.weights, nu.weights)
+    h, tv = hilbert_distance(mu, nu), _tv(mu.weights, nu.weights)
     xs = np.arange(float(len(mu)))
     return [
         _tv_from_t(tv, h),
@@ -408,5 +408,5 @@ def bound_reports(mu: SimplexPoint, nu: SimplexPoint) -> list[BoundReport]:
         _w1_bound(xs, m, v, xs[0], h),
         _moment_gap(xs, m, v, xs[0], 1, "mu", h),
         _moment_gap(xs, m, v, xs[0], 2, "mu", h),
-        _kl_from_h(float(_kl(mu.weights, nu.weights)), h),
+        _kl_from_h(_kl(mu.weights, nu.weights), h),
     ]

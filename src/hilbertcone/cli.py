@@ -119,13 +119,13 @@ def _emit_json(obj, out) -> None:
 def _cmd_dist(args, out) -> int:
     a, b = _load(args.a, "vector"), _load(args.b, "vector")
     mu, nu = normalize(a), normalize(b)
-    h = float(hilbert_distance(a, b))
+    h = hilbert_distance(a, b)
     _emit_json(
         {
             "hilbert": h,
             "t": _t(h),
             "tv": bnd.tv_distance(mu, nu),
-            "kl": float(bnd.kl_divergence(mu, nu)),
+            "kl": bnd.kl_divergence(mu, nu),
             "comparable": h < math.inf,  # H is finite exactly when the supports agree
         },
         out,
@@ -139,7 +139,7 @@ def _cmd_tau(args, out) -> int:
         {
             "phi": ctr.birkhoff_phi(A),
             "tau": ctr.birkhoff_tau(A),
-            "diameter": float(ctr.projective_diameter(A)),
+            "diameter": ctr.projective_diameter(A),
         },
         out,
     )
@@ -220,7 +220,7 @@ def _cmd_verify(args, out) -> int:
         {
             "phi": report.phi,
             "tau": report.tau,
-            "diameter": float(report.diameter),
+            "diameter": report.diameter,
             "trials": report.trials,
             "max_violation": report.max_violation,
             "passed": report.passed,
@@ -299,7 +299,7 @@ def run_command(argv: list[str], out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except (HilbertConeError, OSError, MemoryError) as exc:  # MemoryError: e.g. a huge --trials
+    except (HilbertConeError, OSError, MemoryError) as exc:  # MemoryError: a failed allocation
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,7 +33,6 @@ from .core import (
     ExtendedDistance,
     PositiveVector,
     SimplexPoint,
-    _extended,
     _hilbert_weights,
     _t,
     _tv,
@@ -63,6 +62,11 @@ __all__ = [
 # 1,000,000 steps need ~0.4 GB.  More are refused before the walk: a huge count ends in one
 # error line, not in an out-of-memory kill.
 _MAX_STEPS = 1_000_000
+# verify_contraction holds up to seven trials x n float arrays at once, 48-56 B per trial
+# and component (ru_maxrss grows by 80 MB from 250,000 to 1,000,000 trials at n=2, and by
+# 69 MB from 2,000 to 8,000 trials at n=250), so 10,000,000 need ~0.56 GB.  More are
+# refused before the draw.
+_MAX_DRAWS = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +139,8 @@ class GridKernel:
         for name, arr in (("log kernel values", lv), ("a_grid", ag), ("x_grid", xg)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} must be finite")
-        # Then no difference of two log values overflows in the diameter pass.
+        # Then no difference of two log values overflows in the diameter pass; an
+        # oscillation of such differences, up to twice the span, can (see _diameter).
         if not math.isfinite(float(lv.max()) - float(lv.min())):
             raise ValidationError("log kernel values must span a finite range (max - min)")
         if not (np.diff(ag) > 0).all() or not (np.diff(xg) > 0).all():
@@ -150,7 +155,12 @@ class GridKernel:
 
     @cached_property
     def _diameter(self) -> float:
-        return _pairwise_diameter(self.log_values)
+        with np.errstate(over="ignore"):  # an oscillation that overflows leaves the maximum inf
+            d = _pairwise_diameter(self.log_values)
+        if d == math.inf:
+            raise DomainError("kernel diameter -log phi is past float range; "
+                              "rescale the log values")
+        return d
 
 
 def _pairwise_diameter(L: np.ndarray) -> float:
@@ -198,7 +208,7 @@ def birkhoff_tau(A) -> float:
 
 def projective_diameter(A) -> ExtendedDistance:
     """Diameter of the cone image, -log phi(A); Infinite unless A is strictly positive."""
-    return _extended(_as_matrix(A)._diameter)
+    return ExtendedDistance(_as_matrix(A)._diameter)
 
 
 def grid_kernel_phi(K: GridKernel) -> float:
@@ -239,17 +249,20 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
     """Sample random positive pairs and measure the worst contraction violation.
 
     Components are drawn as exp(uniform(-3, 3)) from numpy's seeded
-    default_rng (PCG64), so identical seeds give identical reports.
+    default_rng (PCG64), so identical seeds give identical reports.  ``trials * n``
+    is at most 10,000,000.
     """
     A = _as_matrix(A)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    n = A.n
+    if trials * n > _MAX_DRAWS:
+        raise ValidationError(f"trials * n must be <= {_MAX_DRAWS}, got {trials} * {n}")
     d = A._diameter
     tau = _t(d)
     rng = np.random.default_rng(seed)
-    n = A.n
     X = np.exp(rng.uniform(-3.0, 3.0, size=(trials, n)))
     Y = np.exp(rng.uniform(-3.0, 3.0, size=(trials, n)))
     t_xy = np.tanh(osc(np.log(Y) - np.log(X)) / 4.0)
@@ -262,7 +275,7 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
     return ContractionReport(
         tau=tau,
         phi=math.exp(-d),
-        diameter=_extended(d),
+        diameter=ExtendedDistance(d),
         trials=trials,
         max_violation=max_violation,
     )

@@ -1,9 +1,8 @@
 """Hilbert projective metric and T-distance on the nonnegative orthant.
 
 Rays in the orthant are represented by :class:`PositiveVector`; the metric
-value lives in :class:`ExtendedDistance`, which keeps "infinite" as an
-explicit tag rather than a floating-point ``inf`` so that the non-comparable
-branch is always deliberate.
+value is an :class:`ExtendedDistance`, a float in [0, inf] whose ``inf`` is the
+value Infinite of a non-comparable pair.
 
 The batched metric forms (log-density, theta chart, Birkhoff's ``-log phi``)
 use one primitive, :func:`osc`, the oscillation ``max(d) - min(d)`` of a
@@ -43,38 +42,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtendedDistance:
-    """A nonnegative real distance or the distinguished value Infinite."""
+class ExtendedDistance(float):
+    """A nonnegative real distance or the distinguished value Infinite, ``inf``.
 
-    value: float
-    infinite: bool = False
+    It is the float it holds, so it compares and computes as one; arithmetic
+    returns plain floats.  ``ExtendedDistance(math.inf)`` is :data:`INFINITE`.
+    """
 
-    def __post_init__(self) -> None:
-        if self.infinite:
-            object.__setattr__(self, "value", math.inf)
-            return
-        v = float(self.value)
-        if math.isnan(v) or not math.isfinite(v) or v < 0.0:
-            raise ValidationError(f"finite distance must be >= 0 and finite, got {v!r}")
-        object.__setattr__(self, "value", v)
+    __slots__ = ()
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
+    def __new__(cls, value: float, infinite: bool = False) -> ExtendedDistance:
+        v = math.inf if infinite else float(value)
+        if not v >= 0.0:  # nan too
+            raise ValidationError(f"distance must be >= 0, got {v!r}")
+        return INFINITE if v == math.inf else super().__new__(cls, v)
 
-    def __float__(self) -> float:
-        return math.inf if self.infinite else self.value
+    value = property(float, doc="The distance as a plain float.")
+    infinite = property(math.isinf, doc="True for Infinite.")
+    is_finite = property(math.isfinite, doc="False for Infinite.")
 
     def __repr__(self) -> str:
         return "ExtendedDistance.INFINITE" if self.infinite else f"ExtendedDistance({self.value!r})"
 
 
-INFINITE = ExtendedDistance(0.0, infinite=True)
-
-
-def _extended(d: float) -> ExtendedDistance:
-    return INFINITE if d == math.inf else ExtendedDistance(d)
+INFINITE = float.__new__(ExtendedDistance, math.inf)  # the one instance __new__ gives for inf
 
 
 @dataclass(frozen=True)
@@ -218,7 +209,7 @@ def hilbert_distance(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
     otherwise.
     """
     _check_lengths(x, y)
-    return _extended(_hilbert_weights(x.weights, y.weights))
+    return ExtendedDistance(_hilbert_weights(x.weights, y.weights))
 
 
 def _t(h: float) -> float:
@@ -233,7 +224,7 @@ def _tv(aw: Iterable[float], bw: Iterable[float]) -> float:
 
 def t_distance(x: PositiveVector, y: PositiveVector) -> float:
     """tanh(H/4) with tanh(inf) := 1; always in [0, 1]."""
-    return _t(float(hilbert_distance(x, y)))
+    return _t(hilbert_distance(x, y))
 
 
 def comparable(x: PositiveVector, y: PositiveVector) -> bool:
@@ -256,9 +247,18 @@ def normalize(x: PositiveVector) -> SimplexPoint:
     return SimplexPoint(_unit_mass(x.weights))
 
 
+def _osc_of_difference(f: Sequence[float], g: Sequence[float] | float) -> float:
+    """osc(f - g), refused with DomainError where a difference overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves osc inf or nan
+        h = float(osc(np.subtract(f, g)))
+    if not math.isfinite(h):
+        raise DomainError("oscillation of the log-densities is past float range")
+    return h
+
+
 def theta_seminorm(f: LogDensityVector) -> float:
     """max(entries) - min(entries): the oscillation seminorm on log-densities."""
-    return float(osc(f.entries))
+    return _osc_of_difference(f.entries, 0.0)
 
 
 def hilbert_from_log_densities(f: LogDensityVector, g: LogDensityVector) -> float:
@@ -268,4 +268,4 @@ def hilbert_from_log_densities(f: LogDensityVector, g: LogDensityVector) -> floa
     constants (reference-measure changes) cancel.
     """
     _check_lengths(f, g)
-    return float(osc(np.subtract(f.entries, g.entries)))
+    return _osc_of_difference(f.entries, g.entries)

@@ -256,13 +256,16 @@ def ball_vertices(nu: SimplexPoint, radius: float) -> BallPolytope:
 
 
 def ball_contains(nu: SimplexPoint, radius: float, mu: SimplexPoint) -> bool:
-    """Membership of mu in the closed Hilbert ball around nu, within 1e-12.
+    """Membership of mu in the closed Hilbert ball around the interior point nu, within 1e-12.
 
     Evaluates the pairwise halfspace description, whose maximum violation is
-    exactly the Hilbert distance.
+    exactly the Hilbert distance.  A mu on the boundary of the simplex is at
+    distance Infinite, so it lies in no ball of finite radius.
     """
     _check_radius(radius)
-    return hilbert_via_theta(mu, nu) <= radius + 1e-12
+    _require_interior(nu)
+    _check_lengths(mu, nu)
+    return (hilbert_via_theta(mu, nu) if mu.full_support else math.inf) <= radius + 1e-12
 
 
 def tile(center: SimplexPoint, radius: float, shells: int) -> list[BallPolytope]:

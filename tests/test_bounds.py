@@ -317,6 +317,17 @@ class TestFDivergence:
             2.0 - math.sqrt(2.0), abs=1e-12
         )
 
+    def test_divergence_overflow_is_a_domain_error(self):
+        # chi^2 at u = 1e300: (u - 1)**2 raised a bare OverflowError.
+        with pytest.raises(DomainError, match="^f-divergence is past float range$"):
+            f_divergence(S((1 - 1e-300, 1e-300)), S((1e-300, 1 - 1e-300)), F_CHI2)
+        # Each term is about M/2 (M the largest float), and the weights sum to 1 + 1e-12,
+        # so fsum's partial sum overflows ("intermediate overflow in fsum").
+        big = ConvexFunctionSpec(lambda u: 1.7976931348623157e308 * (u - 1.0) ** 2, "M*(u-1)^2")
+        mu, nu = S((1 + 5e-13 - 1e-300, 1e-300)), S((0.5 + 2.5e-13, 0.5 + 2.5e-13))
+        with pytest.raises(DomainError, match="^f-divergence is past float range$"):
+            f_divergence(mu, nu, big)
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             ConvexFunctionSpec(lambda u: u, "u")  # f(1) != 0

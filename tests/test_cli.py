@@ -283,6 +283,32 @@ class TestCleanErrors:
         assert run(["tau-kernel", g]) == (1, "")
         assert single_error_line(capsys)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 60], ids=["one block", "pruned blocks"])
+    def test_tau_kernel_diameter_past_float_range(self, tmp_path, capsys, n):
+        # Every difference of two log values is finite, but an oscillation (up to twice the
+        # span) is not: this printed phi 0.0 and tau 1.0 with a numpy warning and exited 0.
+        board = [[8e307 if (i + j) % 2 == 0 else -8e307 for j in range(n)] for i in range(n)]
+        g = write(tmp_path, "g.json", json.dumps(board))
+        assert run(["tau-kernel", g]) == (1, "")
+        assert single_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tau_kernel_half_float_range(self, tmp_path):
+        g = write(tmp_path, "g.json", "[[4e307, -4e307], [-4e307, 4e307]]")
+        assert run(["tau-kernel", g]) == (0, '{\n  "phi": 0.0,\n  "tau": 1.0\n}\n')
+
+    def test_verify_trials_cap(self, tmp_path, monkeypatch, capsys):
+        def no_draw(seed):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(contraction.np.random, "default_rng", no_draw)
+        m = write(tmp_path, "m.json", "[[2, 1], [1, 2]]")
+        start = time.perf_counter()
+        assert run(["verify", m, "--trials", "100000000"]) == (1, "")
+        assert time.perf_counter() - start < 1.0
+        assert single_error_line(capsys)
+
     def test_non_integer_seed_variable_is_usage_error(self, tmp_path, monkeypatch, capsys):
         m = write(tmp_path, "m.json", "[[3, 1], [2, 5]]")
         p = write(tmp_path, "p.json", "[[0.75, 0.25], [0.25, 0.75]]")
@@ -305,16 +331,21 @@ class TestCleanErrors:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
 
     def test_allocation_failure(self, tmp_path):
-        # 10^8 trials of a 2x2 matrix need a 1.49 GiB array; the child may map 1 GiB.
+        # 5 * 10^6 trials of a 2x2 matrix (the most verify takes) start with a 76 MiB array;
+        # the child may map 64 MiB more than it has mapped once imported.
         pytest.importorskip("resource")
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("needs /proc/self/statm to read the mapped size")
         m = write(tmp_path, "m.json", "[[2, 1], [1, 2]]")
         child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                  "from hilbertcone.cli import main\n"
+                 "pages = int(open('/proc/self/statm').read().split()[0])\n"
+                 "limit = pages * resource.getpagesize() + (1 << 26)\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
                  "main()\n")
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        proc = subprocess.run([sys.executable, "-c", child, "verify", m, "--trials", "100000000"],
+        proc = subprocess.run([sys.executable, "-c", child, "verify", m, "--trials", "5000000"],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
         assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1
@@ -563,7 +594,7 @@ _scalars = st.one_of(
     st.integers(10**300, 10**400),
     st.floats(0.0, 10.0),
     st.floats(1e300, 1.7976931348623157e308),
-    st.sampled_from([5e-324, 1e-310, -1.0, math.inf, math.nan]),
+    st.sampled_from([5e-324, 1e-310, -1.0, -8e307, 8e307, math.inf, math.nan]),
     st.booleans(),
     st.text(max_size=3),
     st.none(),

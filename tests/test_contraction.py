@@ -303,6 +303,14 @@ class TestProjectiveDiameter:
 
 
 class TestGridKernel:
+    @pytest.mark.filterwarnings("error")
+    def test_diameter_past_float_range(self):
+        # Rows +-8e307 apart in opposite directions: osc(L[0] - L[1]) = 3.2e308 overflows.
+        K = GridKernel([[8e307, -8e307], [-8e307, 8e307]], [0, 1], [0, 1])
+        for f in (grid_kernel_phi, grid_kernel_tau):
+            with pytest.raises(DomainError, match="^kernel diameter -log phi is past float range"):
+                f(K)
+
     def test_constant_kernel(self):
         K = GridKernel(np.full((3, 4), 2.5), np.arange(3.0), np.arange(4.0))
         assert grid_kernel_phi(K) == 1.0
@@ -399,6 +407,20 @@ class TestVerifyContraction:
     def test_negative_seed(self):
         with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
             verify_contraction([[3, 1], [2, 5]], trials=5, seed=-1)
+
+    def test_trials_cap(self, monkeypatch):
+        # 10^8 trials of a 2x2 matrix would hold about 11 GB; the cap refuses them undrawn.
+        def no_draw(seed):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValidationError,
+                           match=r"^trials \* n must be <= 10000000, got 100000000 \* 2$"):
+            verify_contraction([[2, 1], [1, 2]], trials=10**8, seed=0)
+        with pytest.raises(ValidationError, match=r"got 40001 \* 250$"):
+            verify_contraction(np.ones((250, 250)), trials=40_001, seed=0)
+        with pytest.raises(AssertionError, match="sampling started"):  # the cap itself is taken
+            verify_contraction([[2, 1], [1, 2]], trials=5_000_000, seed=0)
 
     def test_reproducible(self):
         a = [[3, 1], [2, 5]]

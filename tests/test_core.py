@@ -1,4 +1,5 @@
 import math
+import pickle
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hilbertcone import (
     DimensionError,
     DomainError,
+    ExtendedDistance,
     INFINITE,
     LogDensityVector,
     PositiveVector,
@@ -42,6 +44,42 @@ def beta_bisect(x, y, iters=200):
         else:
             lo = mid
     return hi
+
+
+class TestExtendedDistance:
+    def test_is_the_float_it_holds(self):
+        h = hilbert_distance(V((1, 1)), V((9, 1)))
+        assert isinstance(h, float) and h == math.log(9)
+        assert h <= 2.5 and not h <= 2.0 and h < INFINITE
+        assert h + 1.0 == math.log(9) + 1.0 and type(h + 1.0) is float
+        assert ExtendedDistance(1.0) == 1.0 and hash(ExtendedDistance(1.0)) == hash(1.0)
+
+    def test_inf_is_infinite(self):
+        assert ExtendedDistance(math.inf) == INFINITE
+        assert ExtendedDistance(math.inf) is INFINITE
+        assert ExtendedDistance(2.0, infinite=True) is INFINITE
+        assert hilbert_distance(V((1, 0)), V((1, 1))) is INFINITE
+        assert 1e308 <= INFINITE and INFINITE - 1.0 == math.inf
+
+    @pytest.mark.parametrize("d, value, infinite, text", [
+        (ExtendedDistance(0.25), 0.25, False, "ExtendedDistance(0.25)"),
+        (INFINITE, math.inf, True, "ExtendedDistance.INFINITE"),
+    ], ids=["finite", "infinite"])
+    def test_public_names(self, d, value, infinite, text):
+        assert d.value == value and type(d.value) is float
+        assert (d.infinite, d.is_finite) == (infinite, not infinite)
+        assert repr(d) == text
+
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan])
+    def test_check(self, bad):
+        with pytest.raises(ValidationError, match="distance must be >= 0"):
+            ExtendedDistance(bad)
+
+    @pytest.mark.parametrize("d", [ExtendedDistance(0.0), ExtendedDistance(2.5), INFINITE])
+    def test_pickle_round_trip(self, d):
+        back = pickle.loads(pickle.dumps(d))
+        assert type(back) is ExtendedDistance and back == d and repr(back) == repr(d)
+        assert (back is INFINITE) == d.infinite
 
 
 class TestBeta:
@@ -150,6 +188,20 @@ def test_seminorm_matches_hilbert_on_log_densities():
     assert hilbert_from_log_densities(f, g) == pytest.approx(
         hilbert_distance(mu, nu).value, rel=1e-12
     )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: hilbert_from_log_densities(LogDensityVector((1e308, 1e308)),
+                                       LogDensityVector((-1e308, -1e308))),
+    lambda: hilbert_from_log_densities(LogDensityVector((9e307, -9e307)),
+                                       LogDensityVector((0.0, 0.0))),
+    lambda: theta_seminorm(LogDensityVector((-1e308, 1e308))),
+], ids=["H, entries overflow", "H, oscillation overflows", "seminorm"])
+def test_log_density_forms_past_float_range(call):
+    # These returned nan or inf, with a numpy RuntimeWarning.
+    with pytest.raises(DomainError, match="past float range"):
+        call()
 
 
 class TestLogDensityForm:

@@ -46,9 +46,9 @@ CASES = {
     "mu0 of the wrong length": (lambda: markov_converge(CHAIN, SimplexPoint((0.2, 0.3, 0.5)), 3),
                                 DimensionError, "mu0 has length 3, matrix is 2x2"),
     "negative distance": (lambda: ExtendedDistance(-1.0),
-                          ValidationError, "finite distance must be >= 0 and finite, got -1.0"),
+                          ValidationError, "distance must be >= 0, got -1.0"),
     "nan distance": (lambda: ExtendedDistance(float("nan")),
-                     ValidationError, "finite distance must be >= 0 and finite, got nan"),
+                     ValidationError, "distance must be >= 0, got nan"),
     "one log-density entry": (lambda: LogDensityVector((0.0,)),
                               ValidationError, "log-density vector needs at least 2 entries"),
     "chart index past n": (lambda: ThetaVector(3, (0.0, 0.0)),

@@ -279,6 +279,18 @@ class TestBallContains:
         far = theta_inverse(ThetaVector(0, (2.0, 0.0)))
         assert not ball_contains(UNIFORM3, 0.8, far)
 
+    @pytest.mark.parametrize("radius, inside", [(1e-12, False), (1.0, False), (1e308, False),
+                                                (math.inf, True)])
+    def test_boundary_point(self, radius, inside):
+        # Not comparable with an interior center: H is Infinite.  This raised DomainError.
+        mu = SimplexPoint((0.0, 0.5, 0.5))
+        assert ball_contains(SimplexPoint((0.2, 0.3, 0.5)), radius, mu) is inside
+
+    @pytest.mark.parametrize("mu", [UNIFORM3, SimplexPoint((0.0, 0.5, 0.5))])
+    def test_boundary_center_is_refused(self, mu):
+        with pytest.raises(DomainError, match="simplex interior"):
+            ball_contains(SimplexPoint((0.0, 0.5, 0.5)), 1.0, mu)
+
     def test_midpoints_of_edges_inside(self):
         ball = ball_vertices(UNIFORM3, 1.0)
         vs = ball.theta_vertices

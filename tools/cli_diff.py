@@ -17,7 +17,9 @@ ops draw n in 1,000..10,000.  About 5% of the dist and bounds ops draw both
 vectors with full support and weights exp(uniform(-s, s)), s = 350 or 700,
 instead of lognormal(0, 2) ones with 20% zeros, so that H reaches its
 log-space branch: at s = 700 on the raw vectors (dist), at s = 350 also after
-normalization, which keeps every weight above e^-700 (bounds).
+normalization, which keeps every weight above e^-700 (bounds).  About 2% of the
+tau-kernel documents are a checkerboard of +-8e307: every difference of two log
+values is finite, but the diameter, 3.2e308, is past float range.
 """
 
 import collections
@@ -86,6 +88,12 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
             p[(rng.random((n, n)) < 0.3) & ~keep] = 0.0
         return (p / p.sum(axis=1, keepdims=True)).tolist()
 
+    def kernel(n: int) -> list[list[float]]:  # 2% a +-8e307 checkerboard, diameter 3.2e308
+        if rng.random() < 0.02:
+            parity = np.add.outer(np.arange(n), np.arange(n + 1)) % 2
+            return np.where(parity, -8e307, 8e307).tolist()
+        return rng.normal(0.0, 2.0, (n, n + 1)).tolist()
+
     def start(n: int) -> list[float]:  # 20% on a face of the simplex
         w = vec(n, 0.0)
         if rng.random() < 0.2:
@@ -96,7 +104,7 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
         "dist": pair,
         "tau": lambda n: [doc([vec(n, 0.1) for _ in range(n)])],
         "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", "20"],
-        "tau-kernel": lambda n: [doc(rng.normal(0.0, 2.0, (n, n + 1)).tolist())],
+        "tau-kernel": lambda n: [doc(kernel(n))],
         "markov": lambda n: [doc(chain(n)), doc(start(n)), rng.integers(0, 81)],
         "ball": lambda n: [doc(vec(n + int(rng.integers(0, 3)), 0.05)), rng.choice(RADII)],
         "tile": lambda n: [doc(vec(3 + (rng.random() < 0.05), 0.05)), rng.choice(RADII),
