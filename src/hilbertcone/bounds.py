@@ -126,29 +126,21 @@ def atar_zeitouni_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
 
 
 def _g_plus(s: float, c: float, r: float) -> float:
-    """g_R^+ at subset sum s with complementary mass c: 2 (e^R - 1) s c / (c + s e^R).
+    """g_R^+ at subset sum s with complementary mass c, for r >= 0.
 
-    Every term of the denominator is >= 0, so nothing cancels, and c > 0 for an
-    interior center.
+    2 (e^R - 1) s c / (c + s e^R) with e^R divided out: 2 (1 - e^-R) s c / (e^-R c + s).
+    Every term is >= 0, so nothing cancels or overflows, up to r = inf.
     """
-    try:
-        e = math.exp(r)
-    except OverflowError:
-        e = math.inf
-    g = 2.0 * (e - 1.0) * s * c / (c + s * e)
-    if math.isfinite(g):
-        return g
-    # Near float range the terms overflow; divided by e^r they do not.
-    q = math.exp(-r)
-    return 2.0 * (1.0 - q) * s * c / (q * c + s)
+    return -2.0 * math.expm1(-r) * s * c / (math.exp(-r) * c + s)
 
 
 def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
     """Max ell^1 distance from nu over vertices of its Hilbert ball of radius R.
 
-    Evaluates g_R^+ and g_R^-(s) = -g_R^+(s, -R) at every nonempty subset sum of nu's weights
-    (excluding index 0); dominates tv(mu, nu) for any mu at distance R and is
-    itself bounded by 2 tanh(R/4), so it is finite for every R, inf included.
+    Evaluates g_R^+ and g_R^-(s, c) = g_R^+(c, s) at every nonempty subset sum s of
+    nu's weights (excluding index 0), with c the complementary mass; dominates
+    tv(mu, nu) for any mu at distance R and is itself bounded by 2 tanh(R/4), so it
+    is finite for every R, inf included.
     Like :func:`ball_vertices`, it takes interior centers up to S^13.
     """
     _check_ball_center(nu)
@@ -158,7 +150,7 @@ def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
     for mask in range(2, 2 ** len(ws), 2):  # bit i: index i is in the subset; 0 never is
         s = math.fsum(w for i, w in enumerate(ws) if mask >> i & 1)
         c = math.fsum(w for i, w in enumerate(ws) if not mask >> i & 1)
-        best = max(best, _g_plus(s, c, radius), -_g_plus(s, c, -radius))
+        best = max(best, _g_plus(s, c, radius), _g_plus(c, s, radius))
     return best
 
 
@@ -311,35 +303,32 @@ def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: Simpl
 
 
 def _moment_gap(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, q: float,
-                moment_of: str, h: float) -> BoundReport:
+                h: float) -> BoundReport:
     try:
         dq = np.array(list(map(pow, _offsets(xs, x0).tolist(), repeat(q))))  # |x - x0|**q on libm
     except OverflowError:
         raise DomainError(f"|x - x0|**q overflows a float for q={q!r}; "
                           "rescale the support points") from None
     lhs = abs(math.fsum((dq * (m - v)).tolist()))
-    lhs_name, name = f"|moment-gap q={q:g}|", f"K_{q:g}({moment_of})*(e^H-1)"
+    lhs_name, name = f"|moment-gap q={q:g}|", f"K_{q:g}(mu)*(e^H-1)"
     if h == math.inf:
         return _report(lhs_name, lhs, name, math.inf, applicable=False)
-    k_q = math.fsum((dq * (m if moment_of == "mu" else v)).tolist())
-    return _report(lhs_name, lhs, name, k_q * _expm1(h))
+    return _report(lhs_name, lhs, name, math.fsum((dq * m).tolist()) * _expm1(h))
 
 
 def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint,
-                     x0: float, q: float, moment_of: str = "mu") -> BoundReport:
+                     x0: float, q: float) -> BoundReport:
     """|integral of d(x0,.)^q d(mu - nu)| <= K_q (e^H - 1), K_q the q-th moment of mu.
 
-    The reference measure for K_q defaults to mu (the asserted form); pass
-    ``moment_of="nu"`` for the symmetric variant.
+    H and the left side are symmetric in mu and nu, so the bound by nu's moment is
+    ``moment_gap_bound(support_points, nu, mu, x0, q)``.
     """
-    if moment_of not in ("mu", "nu"):
-        raise ValidationError(f"moment_of must be 'mu' or 'nu', got {moment_of!r}")
     _check_x0(x0)
     if not (q >= 0.0 and math.isfinite(q)):  # nan fails q >= 0
         raise ValidationError(f"q must be finite and >= 0, got {q!r}")
     m, v = _arrays(mu, nu)
     xs = _check_support_points(support_points, len(mu))
-    return _moment_gap(xs, m, v, x0, q, moment_of, hilbert_distance(mu, nu))
+    return _moment_gap(xs, m, v, x0, q, hilbert_distance(mu, nu))
 
 
 def _t_upper_from_tv(m: np.ndarray, v: np.ndarray, tv: float, h: float) -> BoundReport:
@@ -406,7 +395,7 @@ def bound_reports(mu: SimplexPoint, nu: SimplexPoint) -> list[BoundReport]:
         _subset_sup(m, v, h),
         _t_upper_from_tv(m, v, tv, h),
         _w1_bound(xs, m, v, xs[0], h),
-        _moment_gap(xs, m, v, xs[0], 1, "mu", h),
-        _moment_gap(xs, m, v, xs[0], 2, "mu", h),
+        _moment_gap(xs, m, v, xs[0], 1, h),
+        _moment_gap(xs, m, v, xs[0], 2, h),
         _kl_from_h(_kl(mu.weights, nu.weights), h),
     ]

@@ -226,7 +226,12 @@ def kernel_apply(K: GridKernel, mu: PositiveVector) -> PositiveVector:
     m, p = K.shape
     if len(mu) != p:
         raise DimensionError(f"measure has length {len(mu)}, kernel expects {p}")
-    out = np.exp(K.log_values) @ np.asarray(mu.weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(K.log_values) @ np.asarray(mu.weights)
+    # A positive kernel maps a nonzero measure to a positive vector, so an entry that is
+    # not finite and > 0 (min propagates nan) overflowed or underflowed.
+    if not (0.0 < out.min() and out.max() < math.inf):
+        raise DomainError("kernel image is past float range; rescale the log values")
     return PositiveVector(tuple(out))
 
 

@@ -141,16 +141,22 @@ def _check_lengths(x: Sized, y: Sized) -> None:
         raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
-def log_beta(x: PositiveVector, y: PositiveVector) -> float | None:
-    """log of the smallest r with r*x - y in the cone, or None when no such r exists.
-
-    Finite exactly when support(y) is contained in support(x).
-    """
+def _beta_range(x: PositiveVector, y: PositiveVector) -> tuple[float, bool]:
+    """(max y/x, False) over support(y), or (max log y - log x, True); inf off x's support."""
     _check_lengths(x, y)
     xw, yw = x.weights, y.weights
     if not all(compress(xw, yw)):  # x > 0 wherever y > 0; a weight w >= 0 is true iff w > 0
-        return None
+        return math.inf, True
     hi, _, in_logs = _ratio_range(list(compress(xw, yw)), list(compress(yw, yw)))
+    return hi, in_logs
+
+
+def log_beta(x: PositiveVector, y: PositiveVector) -> float:
+    """log of the smallest r with r*x - y in the cone, or inf when no such r exists.
+
+    Finite exactly when support(y) is contained in support(x).
+    """
+    hi, in_logs = _beta_range(x, y)
     return hi if in_logs else math.log(hi)
 
 
@@ -160,14 +166,13 @@ def beta(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
     For ratios beyond float range, use :func:`log_beta` directly; this
     function raises DomainError rather than silently saturating.
     """
-    lb = log_beta(x, y)
-    if lb is None:
-        return INFINITE
-    try:
-        b = math.exp(lb)
-    except OverflowError:
-        raise DomainError(f"beta = e^{lb!r} is past float range; use log_beta") from None
-    return ExtendedDistance(b)
+    hi, in_logs = _beta_range(x, y)
+    if in_logs:
+        try:
+            hi = math.exp(hi)
+        except OverflowError:
+            raise DomainError(f"beta = e^{hi!r} is past float range; use log_beta") from None
+    return ExtendedDistance(hi)
 
 
 def osc(D) -> np.ndarray | float:

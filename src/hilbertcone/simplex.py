@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice, product
@@ -57,6 +58,14 @@ _MAX_BALL_DIM = 13
 _MAX_SHELLS = 100
 
 
+def _check_chart_index(k) -> None:
+    """Refuse a chart index that is not an integer (numpy integers are)."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValidationError(f"chart index must be an integer, got {k!r}") from None
+
+
 @dataclass(frozen=True)
 class ThetaVector:
     """Natural-parameter coordinates of an interior simplex point under chart k.
@@ -70,6 +79,7 @@ class ThetaVector:
 
     def __post_init__(self) -> None:
         cs = tuple(map(float, self.coords))
+        _check_chart_index(self.chart_index)
         if self.chart_index < 0 or self.chart_index > len(cs):
             raise ValidationError(f"chart index {self.chart_index} out of range for n={len(cs)}")
         if not all(map(math.isfinite, cs)):
@@ -126,6 +136,7 @@ def _check_ball_center(nu: SimplexPoint) -> None:
 def theta_chart(mu: SimplexPoint, k: int) -> ThetaVector:
     """Log-ratio coordinates log(mu[i]/mu[k]) for i != k."""
     _require_interior(mu)
+    _check_chart_index(k)
     n = len(mu) - 1
     if not 0 <= k <= n:
         raise ValidationError(f"chart index {k} out of range 0..{n}")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, compress
 from operator import truediv
@@ -132,10 +133,13 @@ class TestAtarZeitouni:
 
 
 def exact_vertex_l1_bound(weights, r):
-    """vertex_l1_bound's formula in rational arithmetic, with e^R and e^-R as floats."""
+    """vertex_l1_bound's maximum in rational arithmetic, with e^R to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e_r = Fraction(Decimal(r).exp())
     ws = [Fraction(w) for w in weights]
     best = Fraction(0)
-    for e in (Fraction(math.exp(r)), Fraction(math.exp(-r))):
+    for e in (e_r, 1 / e_r):
         for mask in range(2, 2 ** len(ws), 2):
             s = sum(w for i, w in enumerate(ws) if mask >> i & 1)
             c = sum(ws) - s
@@ -175,6 +179,15 @@ class TestVertexL1Bound:
             p = theta_inverse(ThetaVector(0, (base[0] + sign * r,)))
             worst = max(worst, tv_distance(p, nu))
         assert worst == pytest.approx(bound, abs=1e-9)
+
+    @pytest.mark.parametrize("r", [1e-15, 1e-12, 1e-10, 1e-8])
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.3, 0.5), (0.01, 0.9, 0.09)])
+    def test_small_radius_is_accurate(self, weights, r):
+        # e^R - 1 cancels at small R; 1 - e^-R = -expm1(-R) does not.
+        bound = vertex_l1_bound(S(weights), r)
+        exact = exact_vertex_l1_bound(weights, r)
+        assert abs(Fraction(bound) - exact) <= Fraction(1e-15) * exact
+        assert bound <= math.nextafter(2.0 * math.tanh(r / 4.0), math.inf)
 
     def test_boundary_center_rejected(self):
         with pytest.raises(DomainError):
@@ -423,23 +436,27 @@ class TestMomentGap:
             for q in (1.0, 2.0):
                 assert moment_gap_bound(xs, mu, nu, x0=0.0, q=q).holds
 
-    def test_nu_variant(self, rng):
-        mu, nu = random_simplex(rng, 4), random_simplex(rng, 4)
-        xs = (0.0, 1.0, 2.0, 3.0)
-        rep = moment_gap_bound(xs, mu, nu, x0=0.0, q=1.0, moment_of="nu")
-        assert rep.holds
-        assert "nu" in rep.rhs_name
+    def test_bound_by_nu_is_the_swapped_call(self, rng):
+        # H and |integral of d^q d(mu - nu)| are symmetric in mu and nu, so swapping the
+        # measures bounds the same gap by nu's moment: the same lhs, and K_q of nu.
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            mu, nu = random_simplex(rng, n), random_simplex(rng, n)
+            xs = tuple(np.cumsum(rng.uniform(0.01, 2.0, n)).tolist())
+            q = float(rng.uniform(0.0, 3.0))
+            ab, ba = moment_gap_bound(xs, mu, nu, 0.0, q), moment_gap_bound(xs, nu, mu, 0.0, q)
+            assert ba.lhs_value == ab.lhs_value
+            k_nu = math.fsum(x ** q * w for x, w in zip(xs, nu.weights))
+            assert ba.rhs_value == k_nu * math.expm1(hilbert_distance(mu, nu))
+            assert ba.holds
+        with pytest.raises(TypeError):  # one form: there is no option naming the measure
+            moment_gap_bound(xs, mu, nu, 0.0, 1.0, moment_of="nu")
 
     def test_zero_gap_for_equal(self):
         mu = S((0.25, 0.25, 0.5))
         rep = moment_gap_bound((0.0, 1.0, 2.0), mu, mu, x0=0.0, q=2.0)
         assert rep.lhs_value == 0.0
         assert rep.holds
-
-    def test_moment_of_names_a_measure(self):
-        mu, nu = S((0.25, 0.75)), S((0.5, 0.5))
-        with pytest.raises(ValidationError, match="moment_of"):
-            moment_gap_bound((0.0, 1.0), mu, nu, x0=0.0, q=1.0, moment_of="foo")
 
 
 class TestTUpperFromTv:
@@ -567,19 +584,19 @@ def ref_w1(xs, mu, nu):
     return total
 
 
-def ref_moment_gap(xs, mu, nu, x0, q, moment_of, h):
+def ref_moment_gap(xs, mu, nu, x0, q, h):
     lhs = abs(math.fsum(
         abs(x - x0) ** q * (m - v) for x, m, v in zip(xs, mu.weights, nu.weights)
     ))
-    name = f"K_{q:g}({moment_of})*(e^H-1)"
+    name = f"K_{q:g}(mu)*(e^H-1)"
     if h == math.inf:
         return _report(f"|moment-gap q={q:g}|", lhs, name, math.inf, applicable=False)
-    ref = mu if moment_of == "mu" else nu
-    k_q = math.fsum(abs(x - x0) ** q * w for x, w in zip(xs, ref.weights))
+    k_q = math.fsum(abs(x - x0) ** q * w for x, w in zip(xs, mu.weights))
     return _report(f"|moment-gap q={q:g}|", lhs, name, k_q * _expm1(h))
 
 
 def ref_reports(mu, nu, xs, x0, moments):
+    """The reports in order; ``moments`` holds (q, swapped), swapped to bound by nu's moment."""
     h, tv, t = ref_h(mu, nu), ref_tv(mu, nu), ref_t(ref_h(mu, nu))
     pos = math.fsum(m - v for m, v in zip(mu.weights, nu.weights) if m > v)
     neg = math.fsum(v - m for m, v in zip(mu.weights, nu.weights) if v > m)
@@ -600,7 +617,8 @@ def ref_reports(mu, nu, xs, x0, moments):
         _report("sup_A |mu(A)-nu(A)|", max(pos, neg), "T", t),
         t_upper,
         w1_bound,
-        *(ref_moment_gap(xs, mu, nu, x0, q, of, h) for q, of in moments),
+        *(ref_moment_gap(xs, *((nu, mu) if swapped else (mu, nu)), x0, q, h)
+          for q, swapped in moments),
         _report("KL", ref_kl(mu, nu), "H", h, applicable=h < math.inf),
     ]
 
@@ -661,14 +679,15 @@ def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path):
 
         xs = np.cumsum(rng.uniform(0.01, 2.0, n)).tolist()
         x0 = float(rng.uniform(-1.0, 5.0))
-        moments = [(1, "mu"), (2.0, "mu"), (1.5, "nu")]
+        moments = [(1, False), (2.0, False), (1.5, True)]
         got = [
             tv_from_t_bound(mu, nu),
             atar_zeitouni_bound(mu, nu),
             subset_sup_bound(mu, nu),
             t_upper_from_tv(mu, nu),
             w1_bound_from_h(xs, mu, nu, x0),
-            *(moment_gap_bound(xs, mu, nu, x0, q, of) for q, of in moments),
+            *(moment_gap_bound(xs, *((nu, mu) if swapped else (mu, nu)), x0, q)
+              for q, swapped in moments),
             kl_from_h_bound(mu, nu),
         ]
         assert bits(got) == bits(ref_reports(mu, nu, xs, x0, moments)), (t, n)
@@ -683,7 +702,7 @@ def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path):
             assert run_command(["bounds", *files], out) == 0
             xs = [float(i) for i in range(n)]
             expected = [{k: "inf" if v == math.inf else v for k, v in vars(r).items()}
-                        for r in ref_reports(mu, nu, xs, xs[0], [(1, "mu"), (2, "mu")])]
+                        for r in ref_reports(mu, nu, xs, xs[0], [(1, False), (2, False)])]
             assert bits(json.loads(out.getvalue())) == bits(expected)
             out = io.StringIO()
             assert run_command(["dist", *files], out) == 0
@@ -713,7 +732,7 @@ def test_bound_reports_match_the_public_functions_bit_for_bit(rng):
         ]
         got = bits(bound_reports(mu, nu))
         assert got == bits(public), (t, n)
-        assert got == bits(ref_reports(mu, nu, xs, 0.0, [(1, "mu"), (2, "mu")])), (t, n)
+        assert got == bits(ref_reports(mu, nu, xs, 0.0, [(1, False), (2, False)])), (t, n)
     with pytest.raises(DimensionError):
         bound_reports(S((0.5, 0.5)), S((0.2, 0.3, 0.5)))
 

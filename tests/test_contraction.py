@@ -382,6 +382,16 @@ class TestKernelApply:
                 tau * t_distance(mu, nu) + 1e-10
             )
 
+    @pytest.mark.parametrize("L", [
+        [[800.0, 0.0], [0.0, 0.0]],  # exp overflows
+        [[-800.0, -800.0], [-800.0, -800.0]],  # every entry underflows
+        [[0.0, 0.0], [-800.0, -800.0]],  # one entry underflows: a boundary point
+    ], ids=["overflow", "all-underflow", "one-underflow"])
+    def test_image_past_float_range(self, L):
+        K = GridKernel(L, [0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(DomainError, match="^kernel image is past float range"):
+            kernel_apply(K, PositiveVector((1.0, 1.0)))
+
     def test_dimension_error(self):
         K = GridKernel(np.zeros((3, 2)), np.arange(3.0), np.arange(2.0))
         with pytest.raises(DimensionError):

@@ -399,9 +399,42 @@ class TestKernelAgainstReference:
         for x, y in pairs:
             for a, b in ((x, y), (y, x)):
                 ref, got = log_beta_reference(a, b), log_beta(a, b)
-                assert (got is None) == (ref is None), (a, b)
-                assert ref is None or got.hex() == ref.hex(), (a, b)
+                assert got.hex() == (math.inf if ref is None else ref).hex(), (a, b)
         assert sum(log_beta_reference(x, y) is None for x, y in pairs) > 100
+
+    def test_beta_is_the_max_ratio_bit_for_bit(self, rng):
+        # 10,000 pairs with shared zeros, all in ratio space: beta is max y/x itself.
+        for _ in range(10_000):
+            n = int(rng.integers(2, 13))
+            x, y = np.exp(rng.uniform(-3.0, 3.0, size=(2, n)))
+            face = rng.random(n) < 0.3
+            face[int(rng.integers(n))] = False
+            x[face] = y[face] = 0.0
+            a, b = V(tuple(x)), V(tuple(y))
+            for p, q in ((a, b), (b, a)):
+                ratio = max(v / u for u, v in zip(p.weights, q.weights) if u > 0.0)
+                assert float(beta(p, q)).hex() == ratio.hex(), (p, q)
+
+    def test_beta_is_exp_log_beta_in_log_space(self, rng):
+        reached = 0
+        for x, y in kernel_pairs(rng, 4000):
+            for a, b in ((x, y), (y, x)):
+                lb = log_beta(a, b)
+                if lb == math.inf:
+                    assert beta(a, b) is INFINITE
+                    continue
+                r = [v / u for u, v in zip(a.weights, b.weights) if v > 0.0]
+                if 0.0 < min(r) and max(r) / min(r) < math.inf:
+                    continue  # ratio space, the test above
+                reached += 1
+                try:
+                    expected = math.exp(lb)
+                except OverflowError:
+                    with pytest.raises(DomainError, match="log_beta"):
+                        beta(a, b)
+                else:
+                    assert float(beta(a, b)).hex() == expected.hex(), (a, b)
+        assert reached > 1000
 
     def test_log_beta_within_an_ulp_where_max_over_min_overflows(self, rng):
         # Every ratio y/x is finite and nonzero, but max/min is past e^709.8, so

@@ -19,6 +19,7 @@ from hilbertcone import (
     ball_vertices,
     markov_converge,
     render_svg,
+    theta_chart,
     verify_contraction,
 )
 from hilbertcone.cli import parse_input
@@ -55,12 +56,24 @@ CASES = {
                            ValidationError, "chart index 3 out of range for n=2"),
     "negative chart index": (lambda: ThetaVector(-1, (0.0, 0.0)),
                              ValidationError, "chart index -1 out of range for n=2"),
+    "non-integer chart index": (lambda: ThetaVector(0.5, (1.0, 2.0)),
+                                ValidationError, "chart index must be an integer, got 0.5"),
+    "float chart index in theta_chart": (lambda: theta_chart(U2, 1.0), ValidationError,
+                                         "chart index must be an integer, got 1.0"),
     "halfspace count": (_ball_without_halfspaces,
                         ValidationError, "ball on S^2 must have 6 halfspaces"),
     "rendering an S^3 ball": (
         lambda: render_svg([ball_vertices(SimplexPoint((0.25,) * 4), 0.5)], View.SIMPLEX_2D),
         DimensionError, "rendering is implemented for balls on S^2 only"),
 }
+
+
+def test_chart_index_is_an_integer():
+    # operator.index decides: numpy integers pass, an integral float does not.
+    assert ThetaVector(np.int64(1), (0.0,)).chart_index == 1
+    assert theta_chart(U2, np.int32(1)).coords == (0.0,)
+    with pytest.raises(ValidationError, match="must be an integer, got 1.0"):
+        ThetaVector(1.0, (0.0,))
 
 
 @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())
