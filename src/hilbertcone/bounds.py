@@ -24,8 +24,6 @@ from operator import mul, sub
 import numpy as np
 
 from .core import (
-    ExtendedDistance,
-    INFINITE,
     SimplexPoint,
     _check_lengths,
     _t,
@@ -80,8 +78,7 @@ def _report(lhs_name: str, lhs: float, rhs_name: str, rhs: float,
             applicable: bool = True) -> BoundReport:
     """The one report constructor, with plain float values; an infinite rhs is vacuous."""
     slack = math.inf if rhs == math.inf else rhs - lhs
-    return BoundReport(lhs_name, rhs_name, float(lhs), float(rhs), slack, slack >= -_TOL,
-                       applicable)
+    return BoundReport(lhs_name, rhs_name, lhs, rhs, slack, slack >= -_TOL, applicable)
 
 
 def _expm1(h: float) -> float:
@@ -154,18 +151,18 @@ def vertex_l1_bound(nu: SimplexPoint, radius: float) -> float:
     return best
 
 
-def _kl(mw: Sequence[float], nw: Sequence[float]) -> ExtendedDistance:
+def _kl(mw: Sequence[float], nw: Sequence[float]) -> float:
     # On the weight tuples: the libm logs cost the same either way, and small
     # vectors skip numpy's per-call cost.  A weight w >= 0 is true iff w > 0.
     if not all(compress(nw, mw)):
-        return INFINITE
+        return math.inf
     ms, vs = list(compress(mw, mw)), list(compress(nw, mw))
     val = math.fsum(map(mul, ms, map(sub, map(math.log, ms), map(math.log, vs))))
-    return ExtendedDistance(max(val, 0.0))
+    return max(val, 0.0)
 
 
-def kl_divergence(mu: SimplexPoint, nu: SimplexPoint) -> ExtendedDistance:
-    """Relative entropy of mu w.r.t. nu; Infinite when mu escapes nu's support."""
+def kl_divergence(mu: SimplexPoint, nu: SimplexPoint) -> float:
+    """Relative entropy of mu w.r.t. nu; inf when mu escapes nu's support."""
     _check_lengths(mu, nu)
     return _kl(mu.weights, nu.weights)
 

@@ -30,7 +30,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import (
-    ExtendedDistance,
     PositiveVector,
     SimplexPoint,
     _hilbert_weights,
@@ -143,7 +142,7 @@ class GridKernel:
         # oscillation of such differences, up to twice the span, can (see _diameter).
         if not math.isfinite(float(lv.max()) - float(lv.min())):
             raise ValidationError("log kernel values must span a finite range (max - min)")
-        if not (np.diff(ag) > 0).all() or not (np.diff(xg) > 0).all():
+        if not ((ag[1:] > ag[:-1]).all() and (xg[1:] > xg[:-1]).all()):  # no difference to overflow
             raise ValidationError("grids must be strictly increasing")
         for name, arr in (("log_values", lv), ("a_grid", ag), ("x_grid", xg)):
             arr.setflags(write=False)  # the cached diameter relies on it
@@ -206,9 +205,9 @@ def birkhoff_tau(A) -> float:
     return _t(_as_matrix(A)._diameter)
 
 
-def projective_diameter(A) -> ExtendedDistance:
-    """Diameter of the cone image, -log phi(A); Infinite unless A is strictly positive."""
-    return ExtendedDistance(_as_matrix(A)._diameter)
+def projective_diameter(A) -> float:
+    """Diameter of the cone image, -log phi(A); inf unless A is strictly positive."""
+    return _as_matrix(A)._diameter
 
 
 def grid_kernel_phi(K: GridKernel) -> float:
@@ -241,7 +240,7 @@ class ContractionReport:
 
     tau: float
     phi: float
-    diameter: ExtendedDistance
+    diameter: float
     trials: int
     max_violation: float
 
@@ -280,7 +279,7 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
     return ContractionReport(
         tau=tau,
         phi=math.exp(-d),
-        diameter=ExtendedDistance(d),
+        diameter=d,
         trials=trials,
         max_violation=max_violation,
     )
@@ -328,7 +327,8 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
         raise ValidationError("steps must be >= 0")
     if steps > _MAX_STEPS:
         raise ValidationError(f"steps must be <= {_MAX_STEPS}, got {steps}")
-    row_sums = P.entries.sum(axis=1)
+    with np.errstate(over="ignore"):  # a row sum that overflows is inf and fails the check
+        row_sums = P.entries.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-10:
         raise ValidationError("matrix is not row-stochastic within 1e-10")
     if len(mu0) != P.n:

@@ -1,8 +1,7 @@
 """Hilbert projective metric and T-distance on the nonnegative orthant.
 
 Rays in the orthant are represented by :class:`PositiveVector`; the metric
-value is an :class:`ExtendedDistance`, a float in [0, inf] whose ``inf`` is the
-value Infinite of a non-comparable pair.
+value is a float in [0, inf], ``inf`` exactly for a non-comparable pair.
 
 The batched metric forms (log-density, theta chart, Birkhoff's ``-log phi``)
 use one primitive, :func:`osc`, the oscillation ``max(d) - min(d)`` of a
@@ -25,8 +24,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, ValidationError
 
 __all__ = [
-    "ExtendedDistance",
-    "INFINITE",
     "PositiveVector",
     "SimplexPoint",
     "LogDensityVector",
@@ -40,32 +37,6 @@ __all__ = [
     "hilbert_from_log_densities",
     "osc",
 ]
-
-
-class ExtendedDistance(float):
-    """A nonnegative real distance or the distinguished value Infinite, ``inf``.
-
-    It is the float it holds, so it compares and computes as one; arithmetic
-    returns plain floats.  ``ExtendedDistance(math.inf)`` is :data:`INFINITE`.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: float, infinite: bool = False) -> ExtendedDistance:
-        v = math.inf if infinite else float(value)
-        if not v >= 0.0:  # nan too
-            raise ValidationError(f"distance must be >= 0, got {v!r}")
-        return INFINITE if v == math.inf else super().__new__(cls, v)
-
-    value = property(float, doc="The distance as a plain float.")
-    infinite = property(math.isinf, doc="True for Infinite.")
-    is_finite = property(math.isfinite, doc="False for Infinite.")
-
-    def __repr__(self) -> str:
-        return "ExtendedDistance.INFINITE" if self.infinite else f"ExtendedDistance({self.value!r})"
-
-
-INFINITE = float.__new__(ExtendedDistance, math.inf)  # the one instance __new__ gives for inf
 
 
 @dataclass(frozen=True)
@@ -112,7 +83,10 @@ class SimplexPoint(PositiveVector):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        total = math.fsum(self.weights)
+        try:
+            total = math.fsum(self.weights)
+        except OverflowError:  # the weights are finite and >= 0, so the sum is past float range
+            total = math.inf
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"weights must sum to 1 within 1e-12, got {total!r}")
 
@@ -160,8 +134,8 @@ def log_beta(x: PositiveVector, y: PositiveVector) -> float:
     return hi if in_logs else math.log(hi)
 
 
-def beta(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
-    """Max ratio y[j]/x[j] over the support of x; Infinite when y escapes it.
+def beta(x: PositiveVector, y: PositiveVector) -> float:
+    """Max ratio y[j]/x[j] over the support of x; inf when y escapes it.
 
     For ratios beyond float range, use :func:`log_beta` directly; this
     function raises DomainError rather than silently saturating.
@@ -172,7 +146,7 @@ def beta(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
             hi = math.exp(hi)
         except OverflowError:
             raise DomainError(f"beta = e^{hi!r} is past float range; use log_beta") from None
-    return ExtendedDistance(hi)
+    return hi
 
 
 def osc(D) -> np.ndarray | float:
@@ -206,15 +180,15 @@ def _hilbert_weights(xw: Sequence[float], yw: Sequence[float]) -> float:
     return hi - lo if in_logs else math.log(hi / lo)
 
 
-def hilbert_distance(x: PositiveVector, y: PositiveVector) -> ExtendedDistance:
+def hilbert_distance(x: PositiveVector, y: PositiveVector) -> float:
     """Hilbert projective distance log(beta(x,y) * beta(y,x)).
 
     Computed over the common support when the supports agree (vectors that
-    vanish on the same indices live on the same face of the cone), Infinite
+    vanish on the same indices live on the same face of the cone), inf
     otherwise.
     """
     _check_lengths(x, y)
-    return ExtendedDistance(_hilbert_weights(x.weights, y.weights))
+    return _hilbert_weights(x.weights, y.weights)
 
 
 def _t(h: float) -> float:

@@ -271,7 +271,7 @@ def ball_contains(nu: SimplexPoint, radius: float, mu: SimplexPoint) -> bool:
 
     Evaluates the pairwise halfspace description, whose maximum violation is
     exactly the Hilbert distance.  A mu on the boundary of the simplex is at
-    distance Infinite, so it lies in no ball of finite radius.
+    distance inf, so it lies in no ball of finite radius.
     """
     _check_radius(radius)
     _require_interior(nu)

@@ -298,6 +298,24 @@ class TestCleanErrors:
         g = write(tmp_path, "g.json", "[[4e307, -4e307], [-4e307, 4e307]]")
         assert run(["tau-kernel", g]) == (0, '{\n  "phi": 0.0,\n  "tau": 1.0\n}\n')
 
+    @pytest.mark.filterwarnings("error")
+    def test_tau_kernel_grid_spanning_float_range(self, tmp_path, capsys):
+        # The grid step a_grid[1] - a_grid[0] overflows; testing it printed a numpy warning.
+        lv = [[0, 1], [1, 0]]
+        doc = {"log_values": lv, "a_grid": [-1.7e308, 1.7e308], "x_grid": [0, 1]}
+        plain = run(["tau-kernel", write(tmp_path, "m.json", json.dumps(lv))])
+        assert plain[0] == 0
+        assert run(["tau-kernel", write(tmp_path, "g.json", json.dumps(doc))]) == plain
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_markov_row_sum_past_float_range(self, tmp_path, capsys):
+        # The row sum overflows to inf; taking it printed a numpy warning before the error.
+        p = write(tmp_path, "p.json", "[[1e308, 1e308], [1, 1]]")
+        mu0 = write(tmp_path, "mu0.json", "[0.5, 0.5]")
+        assert run(["markov", p, mu0, "3"]) == (1, "")
+        assert capsys.readouterr().err == "error: matrix is not row-stochastic within 1e-10\n"
+
     def test_verify_trials_cap(self, tmp_path, monkeypatch, capsys):
         def no_draw(seed):
             raise AssertionError("sampling started")

@@ -292,7 +292,7 @@ class TestProjectiveDiameter:
         )
 
     def test_zero_entry_infinite(self):
-        assert projective_diameter([[1, 0], [1, 1]]).infinite
+        assert projective_diameter([[1, 0], [1, 1]]) == math.inf
 
     def test_attained_on_basis_vectors(self, rng):
         for _ in range(60):

@@ -1,5 +1,4 @@
 import math
-import pickle
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,21 +8,23 @@ from hypothesis import given, settings, strategies as st
 from hilbertcone import (
     DimensionError,
     DomainError,
-    ExtendedDistance,
-    INFINITE,
     LogDensityVector,
     PositiveVector,
     SimplexPoint,
     ValidationError,
     beta,
+    bound_reports,
     comparable,
     hilbert_distance,
     hilbert_from_log_densities,
+    kl_divergence,
     log_beta,
     normalize,
     osc,
+    projective_diameter,
     t_distance,
     theta_seminorm,
+    verify_contraction,
 )
 from conftest import random_positive
 
@@ -46,59 +47,46 @@ def beta_bisect(x, y, iters=200):
     return hi
 
 
-class TestExtendedDistance:
-    def test_is_the_float_it_holds(self):
-        h = hilbert_distance(V((1, 1)), V((9, 1)))
-        assert isinstance(h, float) and h == math.log(9)
-        assert h <= 2.5 and not h <= 2.0 and h < INFINITE
-        assert h + 1.0 == math.log(9) + 1.0 and type(h + 1.0) is float
-        assert ExtendedDistance(1.0) == 1.0 and hash(ExtendedDistance(1.0)) == hash(1.0)
+# Each producer at a finite value (nu = (0.25, 0.75)) and at inf (nu off mu's support,
+# and the matrix of the pair has a zero entry): a distance is the float it computes.
+_PRODUCERS = {
+    "hilbert_distance": lambda mu, nu: [hilbert_distance(mu, nu)],
+    "beta": lambda mu, nu: [beta(nu, mu)],
+    "kl_divergence": lambda mu, nu: [kl_divergence(mu, nu)],
+    "projective_diameter": lambda mu, nu: [projective_diameter([mu.weights, nu.weights])],
+    "verify_contraction": lambda mu, nu: [
+        verify_contraction([mu.weights, nu.weights], 10, 0).diameter],
+    "bound_reports": lambda mu, nu: [
+        v for r in bound_reports(mu, nu) for v in (r.lhs_value, r.rhs_value, r.slack)],
+}
 
-    def test_inf_is_infinite(self):
-        assert ExtendedDistance(math.inf) == INFINITE
-        assert ExtendedDistance(math.inf) is INFINITE
-        assert ExtendedDistance(2.0, infinite=True) is INFINITE
-        assert hilbert_distance(V((1, 0)), V((1, 1))) is INFINITE
-        assert 1e308 <= INFINITE and INFINITE - 1.0 == math.inf
 
-    @pytest.mark.parametrize("d, value, infinite, text", [
-        (ExtendedDistance(0.25), 0.25, False, "ExtendedDistance(0.25)"),
-        (INFINITE, math.inf, True, "ExtendedDistance.INFINITE"),
-    ], ids=["finite", "infinite"])
-    def test_public_names(self, d, value, infinite, text):
-        assert d.value == value and type(d.value) is float
-        assert (d.infinite, d.is_finite) == (infinite, not infinite)
-        assert repr(d) == text
-
-    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan])
-    def test_check(self, bad):
-        with pytest.raises(ValidationError, match="distance must be >= 0"):
-            ExtendedDistance(bad)
-
-    @pytest.mark.parametrize("d", [ExtendedDistance(0.0), ExtendedDistance(2.5), INFINITE])
-    def test_pickle_round_trip(self, d):
-        back = pickle.loads(pickle.dumps(d))
-        assert type(back) is ExtendedDistance and back == d and repr(back) == repr(d)
-        assert (back is INFINITE) == d.infinite
+@pytest.mark.parametrize("nu", [SimplexPoint((0.25, 0.75)), SimplexPoint((1.0, 0.0))],
+                         ids=["finite", "inf"])
+@pytest.mark.parametrize("values", _PRODUCERS.values(), ids=_PRODUCERS.keys())
+def test_distances_are_plain_floats(values, nu):
+    got = values(SimplexPoint((0.5, 0.5)), nu)
+    assert [type(v) for v in got] == [float] * len(got)
+    assert (math.inf in got) == (0.0 in nu.weights)
 
 
 class TestBeta:
     def test_identical(self):
-        assert beta(V((1, 1)), V((1, 1))).value == 1.0
+        assert beta(V((1, 1)), V((1, 1))) == 1.0
 
     def test_max_ratio(self):
         b = beta(V((1, 1)), V((2, 1)))
-        assert b.value == pytest.approx(2.0, abs=1e-12)
-        assert b.value == pytest.approx(beta_bisect(V((1, 1)), V((2, 1))), abs=1e-9)
+        assert b == pytest.approx(2.0, abs=1e-12)
+        assert b == pytest.approx(beta_bisect(V((1, 1)), V((2, 1))), abs=1e-9)
 
     def test_past_float_range(self):
         # log beta = log(1.7e308) is within float range; log(1e300 / 1e-10) ~ 713.8 is not.
-        assert beta(V((1.0, 1.0)), V((1.7e308, 1.0))).value == pytest.approx(1.7e308, rel=1e-12)
+        assert beta(V((1.0, 1.0)), V((1.7e308, 1.0))) == pytest.approx(1.7e308, rel=1e-12)
         with pytest.raises(DomainError, match="log_beta"):
             beta(V((1e-10, 1.0)), V((1e300, 1.0)))
 
     def test_support_escape_is_infinite(self):
-        assert beta(V((1, 0)), V((1, 1))) is INFINITE
+        assert beta(V((1, 0)), V((1, 1))) == math.inf
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -108,45 +96,45 @@ class TestBeta:
         for _ in range(100):
             n = int(rng.integers(2, 7))
             x, y = random_positive(rng, n), random_positive(rng, n)
-            assert beta(x, y).value == pytest.approx(beta_bisect(x, y), rel=1e-9)
+            assert beta(x, y) == pytest.approx(beta_bisect(x, y), rel=1e-9)
 
     def test_duality(self, rng):
         # beta(x,y) * beta(y,x) >= 1, equality iff collinear
         for _ in range(50):
             n = int(rng.integers(2, 7))
             x, y = random_positive(rng, n), random_positive(rng, n)
-            assert beta(x, y).value * beta(y, x).value >= 1.0 - 1e-12
+            assert beta(x, y) * beta(y, x) >= 1.0 - 1e-12
         x = V((1.0, 2.0, 4.0))
         y = V((2.0, 4.0, 8.0))
-        assert beta(x, y).value * beta(y, x).value == pytest.approx(1.0, abs=1e-15)
+        assert beta(x, y) * beta(y, x) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestHilbertDistance:
     def test_collinear_exact_zero(self):
-        assert hilbert_distance(V((1, 2, 3)), V((2, 4, 6))).value == 0.0
+        assert hilbert_distance(V((1, 2, 3)), V((2, 4, 6))) == 0.0
 
     def test_hand_value(self):
-        assert hilbert_distance(V((1, 1)), V((2, 1))).value == pytest.approx(
+        assert hilbert_distance(V((1, 1)), V((2, 1))) == pytest.approx(
             math.log(2), abs=1e-12
         )
 
     def test_support_mismatch(self):
-        assert hilbert_distance(V((1, 0, 1)), V((1, 1, 1))).infinite
+        assert hilbert_distance(V((1, 0, 1)), V((1, 1, 1))) == math.inf
 
     def test_shared_restricted_support(self):
         # both vanish at index 0: computed on the common face
         h = hilbert_distance(V((0, 1, 2)), V((0, 5, 1)))
-        assert h.is_finite
-        assert h.value == pytest.approx(math.log(10), abs=1e-12)
+        assert math.isfinite(h)
+        assert h == pytest.approx(math.log(10), abs=1e-12)
 
     def test_extreme_magnitudes(self):
         big, small = math.exp(700), math.exp(-700)
         h = hilbert_distance(V((big, small)), V((small, big)))
-        assert h.value == pytest.approx(2800.0, rel=1e-12)
+        assert h == pytest.approx(2800.0, rel=1e-12)
 
     def test_normalize_is_projectively_null(self):
         x = V((3.7, 0.2, 11.0))
-        assert hilbert_distance(x, normalize(x)).value <= 1e-12
+        assert hilbert_distance(x, normalize(x)) <= 1e-12
 
 
 class TestTDistance:
@@ -186,7 +174,7 @@ def test_seminorm_matches_hilbert_on_log_densities():
     diff = LogDensityVector(tuple(a - b for a, b in zip(f.entries, g.entries)))
     assert theta_seminorm(diff) == pytest.approx(2 * math.log(2), abs=1e-12)
     assert hilbert_from_log_densities(f, g) == pytest.approx(
-        hilbert_distance(mu, nu).value, rel=1e-12
+        hilbert_distance(mu, nu), rel=1e-12
     )
 
 
@@ -226,7 +214,7 @@ class TestLogDensityForm:
             f = LogDensityVector(tuple(math.log(w) for w in x.weights))
             g = LogDensityVector(tuple(math.log(w) for w in y.weights))
             assert hilbert_from_log_densities(f, g) == pytest.approx(
-                hilbert_distance(x, y).value, rel=1e-12, abs=1e-12
+                hilbert_distance(x, y), rel=1e-12, abs=1e-12
             )
 
 
@@ -273,8 +261,8 @@ def test_symmetry(pair):
 @given(positive_triples())
 def test_triangle_inequality(triple):
     x, y, z = triple
-    hxz = hilbert_distance(x, z).value
-    assert hxz <= hilbert_distance(x, y).value + hilbert_distance(y, z).value + 1e-10
+    hxz = hilbert_distance(x, z)
+    assert hxz <= hilbert_distance(x, y) + hilbert_distance(y, z) + 1e-10
     assert t_distance(x, z) <= t_distance(x, y) + t_distance(y, z) + 1e-10
 
 
@@ -289,7 +277,7 @@ def test_projective_invariance(pair, a, b):
     scaled = hilbert_distance(
         V(tuple(a * w for w in x.weights)), V(tuple(b * w for w in y.weights))
     )
-    assert scaled.value == pytest.approx(hilbert_distance(x, y).value, rel=1e-12, abs=1e-12)
+    assert scaled == pytest.approx(hilbert_distance(x, y), rel=1e-12, abs=1e-12)
 
 
 def test_identity_of_indiscernibles_on_simplex(rng):
@@ -298,13 +286,13 @@ def test_identity_of_indiscernibles_on_simplex(rng):
     for _ in range(100):
         mu = random_simplex(rng, int(rng.integers(2, 7)))
         nu = random_simplex(rng, len(mu))
-        h = hilbert_distance(mu, nu).value
+        h = hilbert_distance(mu, nu)
         if h == 0.0:
             assert all(abs(a - b) <= 1e-12 for a, b in zip(mu.weights, nu.weights))
         if all(abs(a - b) <= 1e-16 for a, b in zip(mu.weights, nu.weights)):
             assert h <= 1e-12
     mu = SimplexPoint((0.25, 0.75))
-    assert hilbert_distance(mu, mu).value == 0.0
+    assert hilbert_distance(mu, mu) == 0.0
 
 
 def finite_hilbert_reference(xw, yw):
@@ -389,7 +377,7 @@ class TestKernelAgainstReference:
             ref = hilbert_reference(x, y)
             h = hilbert_distance(x, y)
             assert float(h).hex() == ref.hex(), (x, y)
-            assert h.infinite == math.isinf(ref)
+            assert math.isinf(h) == math.isinf(ref)
             t = 1.0 if math.isinf(ref) else math.tanh(ref / 4.0)
             assert t_distance(x, y).hex() == t.hex()
         assert sum(math.isinf(hilbert_reference(x, y)) for x, y in pairs) > 100
@@ -421,7 +409,7 @@ class TestKernelAgainstReference:
             for a, b in ((x, y), (y, x)):
                 lb = log_beta(a, b)
                 if lb == math.inf:
-                    assert beta(a, b) is INFINITE
+                    assert beta(a, b) == math.inf
                     continue
                 r = [v / u for u, v in zip(a.weights, b.weights) if v > 0.0]
                 if 0.0 < min(r) and max(r) / min(r) < math.inf:
@@ -457,7 +445,7 @@ class TestKernelAgainstReference:
 
     def test_comparable_iff_h_finite(self, rng):
         for x, y in kernel_pairs(rng, 4000):
-            assert comparable(x, y) == hilbert_distance(x, y).is_finite, (x, y)
+            assert comparable(x, y) == math.isfinite(hilbert_distance(x, y)), (x, y)
 
     def test_extreme_branches_reached(self):
         big, small = math.exp(700), math.exp(-700)

@@ -8,7 +8,6 @@ import pytest
 from hilbertcone import (
     BallPolytope,
     DimensionError,
-    ExtendedDistance,
     GridKernel,
     LogDensityVector,
     NonnegMatrix,
@@ -46,10 +45,9 @@ CASES = {
                        ValidationError, "steps must be >= 0"),
     "mu0 of the wrong length": (lambda: markov_converge(CHAIN, SimplexPoint((0.2, 0.3, 0.5)), 3),
                                 DimensionError, "mu0 has length 3, matrix is 2x2"),
-    "negative distance": (lambda: ExtendedDistance(-1.0),
-                          ValidationError, "distance must be >= 0, got -1.0"),
-    "nan distance": (lambda: ExtendedDistance(float("nan")),
-                     ValidationError, "distance must be >= 0, got nan"),
+    "simplex point whose total overflows": (
+        lambda: SimplexPoint((1e308, 1e308)),
+        ValidationError, "weights must sum to 1 within 1e-12, got inf"),
     "one log-density entry": (lambda: LogDensityVector((0.0,)),
                               ValidationError, "log-density vector needs at least 2 entries"),
     "chart index past n": (lambda: ThetaVector(3, (0.0, 0.0)),

@@ -19,7 +19,11 @@ instead of lognormal(0, 2) ones with 20% zeros, so that H reaches its
 log-space branch: at s = 700 on the raw vectors (dist), at s = 350 also after
 normalization, which keeps every weight above e^-700 (bounds).  About 2% of the
 tau-kernel documents are a checkerboard of +-8e307: every difference of two log
-values is finite, but the diameter, 3.2e308, is past float range.
+values is finite, but the diameter, 3.2e308, is past float range.  About 2% more
+are grid objects whose a_grid steps from -1.7e308 to 1e308..1.7e308, a step past
+float range, and about 2% of the markov chains have a row of 1e308s, whose sum
+is past float range.  Warnings are shown each time they are raised, as they would be in a
+process of their own.
 """
 
 import collections
@@ -35,8 +39,9 @@ from pathlib import Path
 import numpy as np
 
 RUNNER = r"""
-import contextlib, hashlib, io, json, os, sys
+import contextlib, hashlib, io, json, os, sys, warnings
 from hilbertcone.cli import run_command
+warnings.simplefilter("always")  # not once per source line: each op is a CLI process of its own
 res = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
@@ -86,13 +91,21 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
         if rng.random() < 0.2:  # the kept entries make the chain irreducible and aperiodic
             keep = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
             p[(rng.random((n, n)) < 0.3) & ~keep] = 0.0
-        return (p / p.sum(axis=1, keepdims=True)).tolist()
+        p /= p.sum(axis=1, keepdims=True)
+        if rng.random() < 0.02:  # a row whose sum overflows
+            p[rng.integers(n)] = 1e308
+        return p.tolist()
 
-    def kernel(n: int) -> list[list[float]]:  # 2% a +-8e307 checkerboard, diameter 3.2e308
-        if rng.random() < 0.02:
+    def kernel(n: int) -> list[list[float]] | dict:
+        u = rng.random()
+        if u < 0.02:  # a +-8e307 checkerboard, diameter 3.2e308
             parity = np.add.outer(np.arange(n), np.arange(n + 1)) % 2
             return np.where(parity, -8e307, 8e307).tolist()
-        return rng.normal(0.0, 2.0, (n, n + 1)).tolist()
+        lv = rng.normal(0.0, 2.0, (n, n + 1)).tolist()
+        if u < 0.04:  # an a_grid step past float range
+            return {"log_values": lv, "a_grid": [-1.7e308, *np.linspace(1e308, 1.7e308, n - 1)],
+                    "x_grid": list(range(n + 1))}
+        return lv
 
     def start(n: int) -> list[float]:  # 20% on a face of the simplex
         w = vec(n, 0.0)
