@@ -25,8 +25,8 @@ import numpy as np
 from . import bounds as bnd
 from . import contraction as ctr
 from . import simplex as spx
-from .core import PositiveVector, _t, hilbert_distance, normalize
-from .errors import HilbertConeError, ValidationError
+from .core import PositiveVector, SimplexPoint, _t, hilbert_distance, normalize
+from .errors import DomainError, HilbertConeError, ValidationError
 
 __all__ = ["parse_input", "run_command", "main"]
 
@@ -148,7 +148,7 @@ def _cmd_tau(args, out) -> int:
 
 def _cmd_tau_kernel(args, out) -> int:
     K = _load(args.grid, "kernel_grid")
-    _emit_json({"phi": ctr.grid_kernel_phi(K), "tau": ctr.grid_kernel_tau(K)}, out)
+    _emit_json({"phi": ctr.birkhoff_phi(K), "tau": ctr.birkhoff_tau(K)}, out)
     return 0
 
 
@@ -175,15 +175,25 @@ def _write_ball(ball: spx.BallPolytope, out, pad: str = "") -> None:
               + f',\n{p}"halfspaces": ' + _rows_text(ball.halfspaces, "%d", p) + f"\n{pad}}}")
 
 
+def _center(path: str) -> SimplexPoint:
+    """The unit mass of the vector at ``path``, refused where a positive weight underflows."""
+    x = _load(path, "vector")
+    mu = normalize(x)
+    if x.full_support and not mu.full_support:  # the chart would blame a zero never written
+        raise DomainError(f"center weight at index {mu.weights.index(0.0)} underflows to 0 "
+                          "at unit mass; rescale the weights")
+    return mu
+
+
 def _cmd_ball(args, out) -> int:
-    center = normalize(_load(args.center, "vector"))
+    center = _center(args.center)
     _write_ball(spx.ball_vertices(center, args.radius), out)
     out.write("\n")
     return 0
 
 
 def _cmd_tile(args, out) -> int:
-    center = normalize(_load(args.center, "vector"))
+    center = _center(args.center)
     balls = spx.tile(center, args.radius, args.shells)
     with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(spx.render_svg(balls, spx.View.SIMPLEX_2D))

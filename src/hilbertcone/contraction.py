@@ -7,16 +7,16 @@ A[i,k]*A[j,l] / (A[j,k]*A[i,l])`` is the minimal cross-ratio.  With
 
     -log phi = max_{i<j} osc(L[i] - L[j]) = max_{i<j} H(row_i, row_j),
 
-which stays tractable for n in the thousands; the exhaustive O(n^4) scan is
-kept only as a test oracle.  Each matrix or kernel runs the pass once and
-caches it.  The pass is an exact branch and bound: the rows are sorted by
-descending oscillation ``hi - lo``, and a pair is skipped only when the float
-bound ``fl(fl(hi_i - lo_j) - fl(lo_i - hi_j))``, which rounding cannot push
-below ``osc(L_i - L_j)``, is at most the best value so far, so the result is
-the unpruned maximum bit for bit.  A matrix small enough for one block (square
-n <= 40) skips the sort.  The zero conventions (0/0 -> 1, 0/positive -> 0) are
-resolved before taking any logarithm: for an allowable matrix a single zero
-entry already forces phi = 0.
+which stays tractable for n in the thousands; the exhaustive O(n^4) scan is a
+test oracle only.  Each matrix or kernel runs the pass once and caches it for
+phi, tau and the diameter.  The pass is an exact branch and bound: the rows are
+sorted by descending oscillation ``hi - lo``, and a pair is skipped only when
+the float bound ``fl(fl(hi_i - lo_j) - fl(lo_i - hi_j))``, which rounding
+cannot push below ``osc(L_i - L_j)``, is at most the best value so far, so the
+result is the unpruned maximum bit for bit.  A matrix small enough for one
+block (square n <= 40) skips the sort.  The zero conventions (0/0 -> 1,
+0/positive -> 0) are resolved before taking any logarithm: for an allowable
+matrix a single zero entry already forces phi = 0.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
     "birkhoff_phi",
     "birkhoff_tau",
     "projective_diameter",
-    "grid_kernel_phi",
-    "grid_kernel_tau",
     "kernel_apply",
     "verify_contraction",
     "markov_converge",
@@ -148,10 +146,6 @@ class GridKernel:
             arr.setflags(write=False)  # the cached diameter relies on it
             object.__setattr__(self, name, arr)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.log_values.shape
-
     @cached_property
     def _diameter(self) -> float:
         with np.errstate(over="ignore"):  # an oscillation that overflows leaves the maximum inf
@@ -170,7 +164,7 @@ def _pairwise_diameter(L: np.ndarray) -> float:
     # large ones.  osc(L[i] - L[j]) == osc(L[j] - L[i]) bit for bit.
     b = max(1, (1 << 16) // (m * p))
     if b >= m - 1:  # one block: nothing to prune, so no sort and no bounds
-        return float(osc(L[:b, None, :] - L[None, :, :]).max()) if m > 1 else 0.0
+        return float(osc(L[:b, None, :] - L[None, :, :]).max())
     # The bound is exact: L[i,k] - L[j,k] <= hi[i] - lo[j] for every k, and float
     # rounding is monotone, so every float difference lies between
     # fl(lo[i] - hi[j]) and fl(hi[i] - lo[j]), and osc(L[i] - L[j]) <=
@@ -192,37 +186,35 @@ def _pairwise_diameter(L: np.ndarray) -> float:
     return best
 
 
+def _diameter_of(A) -> float:
+    """-log phi of a GridKernel, or of A as a NonnegMatrix."""
+    return A._diameter if isinstance(A, GridKernel) else _as_matrix(A)._diameter
+
+
 def birkhoff_phi(A) -> float:
-    """Minimal cross-ratio phi(A) in [0, 1]; zero iff A has a zero entry."""
-    return math.exp(-_as_matrix(A)._diameter)
+    """Minimal cross-ratio phi(A) in [0, 1]; zero iff a matrix A has a zero entry.
+
+    A grid kernel's phi is in (0, 1], and is 0.0 only where exp(-Delta) underflows.
+    """
+    return math.exp(-_diameter_of(A))
 
 
 def birkhoff_tau(A) -> float:
-    """Birkhoff contraction coefficient tanh(Delta/4), Delta the projective diameter.
+    """Birkhoff coefficient tanh(Delta/4) of a matrix or grid kernel, Delta its diameter.
 
     Equal to (1 - sqrt(phi)) / (1 + sqrt(phi)), a quotient that cancels at small Delta.
     """
-    return _t(_as_matrix(A)._diameter)
+    return _t(_diameter_of(A))
 
 
 def projective_diameter(A) -> float:
-    """Diameter of the cone image, -log phi(A); inf unless A is strictly positive."""
-    return _as_matrix(A)._diameter
-
-
-def grid_kernel_phi(K: GridKernel) -> float:
-    """Minimal kernel cross-ratio over grid quadruples, in (0, 1]."""
-    return math.exp(-K._diameter)
-
-
-def grid_kernel_tau(K: GridKernel) -> float:
-    """Contraction coefficient of the discretized kernel operator, in [0, 1)."""
-    return _t(K._diameter)
+    """Diameter -log phi of the cone image; inf iff a matrix A has a zero entry."""
+    return _diameter_of(A)
 
 
 def kernel_apply(K: GridKernel, mu: PositiveVector) -> PositiveVector:
     """Push the masses mu through the kernel: out[i] = sum_k kappa(a_i, x_k) mu[k]."""
-    m, p = K.shape
+    p = K.log_values.shape[1]
     if len(mu) != p:
         raise DimensionError(f"measure has length {len(mu)}, kernel expects {p}")
     with np.errstate(over="ignore", invalid="ignore"):

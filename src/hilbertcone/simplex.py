@@ -86,10 +86,6 @@ class ThetaVector:
             raise ValidationError("theta coordinates must be finite")
         object.__setattr__(self, "coords", cs)
 
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
 
 @dataclass(frozen=True)
 class BallPolytope:
@@ -245,7 +241,8 @@ def _balls(centers: list[SimplexPoint], radius: float) -> list[BallPolytope]:
     err = np.abs(osc(np.log(W) - np.log([nu.weights for nu in centers])[:, None]) - radius)
     if err.max() > 1e-9:  # one max; the failing ball is looked up only here
         worst = err.max(axis=1)
-        raise ValidationError(f"vertex misses the sphere by {worst[np.argmax(worst > 1e-9)]:.3g}")
+        raise CoordinateRangeError(
+            f"vertex misses the sphere by {worst[np.argmax(worst > 1e-9)]:.3g}")
     halfspaces = _halfspaces(n)
     tvs = _trusted(ThetaVector, "coords", thetas, chart_index=0)
     pts = _trusted(SimplexPoint, "weights", weights)

@@ -25,7 +25,6 @@ from hilbertcone import (
     F_HELLINGER,
     F_KL,
     F_TV_HALF,
-    grid_kernel_phi,
     hilbert_distance,
     hilbert_from_log_densities,
     hilbert_via_theta,
@@ -150,7 +149,7 @@ def test_criterion_03_diameter_attainment():
 def test_criterion_04_kernel_coefficient():
     g = np.linspace(0.0, 1.0, 21)
     L = -((g[:, None] - g[None, :]) ** 2) / (2 * 0.5**2)
-    phi = grid_kernel_phi(GridKernel(L, g, g))
+    phi = birkhoff_phi(GridKernel(L, g, g))
     ok = abs(phi - math.exp(-4.0)) <= 1e-9
     rng = _rng()
     for _ in range(100):
@@ -164,7 +163,7 @@ def test_criterion_04_kernel_coefficient():
             - Lr[None, :, :, None]
         )
         scan = float(np.exp(C.min()))
-        got = grid_kernel_phi(K)
+        got = birkhoff_phi(K)
         ok &= abs(got - scan) <= 1e-12 * max(1.0, abs(scan))
     _verdict(4, "Gaussian kernel phi = e^-4 and decomposition vs full scan", ok)
 

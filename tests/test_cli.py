@@ -408,6 +408,25 @@ class TestCleanErrors:
         assert time.perf_counter() - start < 1.0
         assert single_error_line(capsys)
 
+    @pytest.mark.parametrize("cmd", ["ball", "tile"])
+    def test_center_weight_that_underflows_at_unit_mass(self, tmp_path, capsys, cmd):
+        # 5e-324 / 2 rounds to 0: the error names that weight, not a zero in the document.
+        svg = str(tmp_path / "t.svg")
+        extra = {"ball": [], "tile": ["1", "--svg", svg]}[cmd]
+        c = write(tmp_path, "c.json", "[5e-324, 1, 1]")
+        assert run([cmd, c, "0.5", *extra]) == (1, "")
+        err = capsys.readouterr().err
+        assert err == ("error: center weight at index 0 underflows to 0 at unit mass; "
+                       "rescale the weights\n")
+        # The center is refused before the radius is checked.
+        assert run([cmd, c, "-1", *extra]) == (1, "")
+        assert capsys.readouterr().err == err
+        # A zero the user wrote still gets the interior message.
+        z = write(tmp_path, "z.json", "[0, 1, 1]")
+        assert run([cmd, z, "0.5", *extra]) == (1, "")
+        assert capsys.readouterr().err == ("error: chart is only defined on the simplex interior "
+                                           "(no zero weights)\n")
+
     def test_markov_above_the_step_cap(self, tmp_path, monkeypatch, capsys):
         # 10^8 steps would keep ~39 GB of rows; the count is refused before the walk.
         monkeypatch.setattr(contraction, "_iterates", None)  # a walk would raise TypeError

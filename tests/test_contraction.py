@@ -20,8 +20,6 @@ from hilbertcone import (
     ValidationError,
     birkhoff_phi,
     birkhoff_tau,
-    grid_kernel_phi,
-    grid_kernel_tau,
     hilbert_distance,
     kernel_apply,
     markov_converge,
@@ -294,6 +292,11 @@ class TestProjectiveDiameter:
     def test_zero_entry_infinite(self):
         assert projective_diameter([[1, 0], [1, 1]]) == math.inf
 
+    def test_one_by_one_is_positive_zero(self):
+        # The one row is paired with itself, and osc(L[0] - L[0]) is +0.0.
+        d = projective_diameter([[3.0]])
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0
+
     def test_attained_on_basis_vectors(self, rng):
         for _ in range(60):
             a = random_allowable(rng, int(rng.integers(2, 7)))
@@ -307,36 +310,52 @@ class TestGridKernel:
     def test_diameter_past_float_range(self):
         # Rows +-8e307 apart in opposite directions: osc(L[0] - L[1]) = 3.2e308 overflows.
         K = GridKernel([[8e307, -8e307], [-8e307, 8e307]], [0, 1], [0, 1])
-        for f in (grid_kernel_phi, grid_kernel_tau):
+        for f in (birkhoff_phi, birkhoff_tau, projective_diameter):
             with pytest.raises(DomainError, match="^kernel diameter -log phi is past float range"):
                 f(K)
 
+    @pytest.mark.filterwarnings("error")
+    def test_diameter_at_half_float_range(self):
+        # osc(L[0] - L[1]) = 1.6e308 is finite, but exp(-1.6e308) underflows.
+        K = GridKernel([[4e307, -4e307], [-4e307, 4e307]], [0, 1], [0, 1])
+        assert (birkhoff_phi(K), birkhoff_tau(K), projective_diameter(K)) == (0.0, 1.0, 1.6e308)
+
+    def test_phi_tau_and_diameter_are_the_cached_diameter(self, rng):
+        """The matrix functions on a kernel evaluate exp(-Delta), tanh(Delta/4) and Delta."""
+        for t in range(200):
+            m, p = (int(k) for k in rng.integers(2, 41, 2))
+            K = GridKernel(log_matrix(rng, FAMILIES[t % len(FAMILIES)], m, p),
+                           np.arange(float(m)), np.arange(float(p)))
+            assert birkhoff_phi(K) == math.exp(-K._diameter), t
+            assert birkhoff_tau(K) == math.tanh(K._diameter / 4.0), t
+            assert projective_diameter(K) == K._diameter, t
+
     def test_constant_kernel(self):
         K = GridKernel(np.full((3, 4), 2.5), np.arange(3.0), np.arange(4.0))
-        assert grid_kernel_phi(K) == 1.0
-        assert grid_kernel_tau(K) == 0.0
+        assert birkhoff_phi(K) == 1.0
+        assert birkhoff_tau(K) == 0.0
 
     def test_separable_kernel(self, rng):
         u = rng.normal(size=5)
         v = rng.normal(size=6)
         K = GridKernel(u[:, None] + v[None, :], np.arange(5.0), np.sort(rng.uniform(0, 1, 6)))
-        assert grid_kernel_phi(K) == pytest.approx(1.0, abs=1e-12)
+        assert birkhoff_phi(K) == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_kernel(self):
         a = np.linspace(0.0, 1.0, 21)
         sigma = 0.5
         L = -((a[:, None] - a[None, :]) ** 2) / (2 * sigma**2)
         K = GridKernel(L, a, a)
-        assert grid_kernel_phi(K) == pytest.approx(math.exp(-4.0), rel=1e-9)
-        assert grid_kernel_tau(K) == pytest.approx(math.tanh(1.0), rel=1e-9)
-        assert grid_kernel_phi(K) == pytest.approx(kernel_phi_exhaustive(L), rel=1e-12)
+        assert birkhoff_phi(K) == pytest.approx(math.exp(-4.0), rel=1e-9)
+        assert birkhoff_tau(K) == pytest.approx(math.tanh(1.0), rel=1e-9)
+        assert birkhoff_phi(K) == pytest.approx(kernel_phi_exhaustive(L), rel=1e-12)
 
     def test_decomposition_matches_exhaustive(self, rng):
         for _ in range(40):
             m, p = int(rng.integers(2, 16)), int(rng.integers(2, 16))
             L = rng.normal(size=(m, p))
             K = GridKernel(L, np.arange(float(m)), np.sort(rng.uniform(0, 1, p)))
-            assert grid_kernel_phi(K) == pytest.approx(kernel_phi_exhaustive(L), rel=1e-12)
+            assert birkhoff_phi(K) == pytest.approx(kernel_phi_exhaustive(L), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -352,7 +371,7 @@ class TestGridKernel:
         for lv in ([[1e308, 1e308], [-1e308, -1e308]], [[1e308, -1e308], [-1e308, 1e308]]):
             with pytest.raises(ValidationError, match="finite range"):
                 GridKernel(np.array(lv), np.arange(2.0), np.arange(2.0))
-        assert grid_kernel_tau(GridKernel([[8e307, 0.0], [-8e307, 0.0]], [0, 1], [0, 1])) == 1.0
+        assert birkhoff_tau(GridKernel([[8e307, 0.0], [-8e307, 0.0]], [0, 1], [0, 1])) == 1.0
 
 
 class TestKernelApply:
@@ -375,7 +394,7 @@ class TestKernelApply:
         g = np.linspace(0.0, 1.0, 8)
         L = rng.normal(size=(8, 8))
         K = GridKernel(L, g, g)
-        tau = grid_kernel_tau(K)
+        tau = birkhoff_tau(K)
         for _ in range(50):
             mu, nu = random_positive(rng, 8), random_positive(rng, 8)
             assert t_distance(kernel_apply(K, mu), kernel_apply(K, nu)) <= (
@@ -675,7 +694,7 @@ class TestMarkovConverge:
 
 
 def test_every_tau_is_tanh_of_quarter_diameter_bit_for_bit(rng):
-    """birkhoff_tau, grid_kernel_tau, verify_contraction and markov_converge share one T."""
+    """birkhoff_tau on matrices and kernels, verify_contraction and markov_converge share one T."""
     for case in range(60):
         n = int(rng.integers(2, 7))
         a = NonnegMatrix(random_allowable(rng, n, zero_frac=0.2 if case % 4 == 0 else 0.0))
@@ -684,7 +703,7 @@ def test_every_tau_is_tanh_of_quarter_diameter_bit_for_bit(rng):
         assert verify_contraction(a, trials=3, seed=case).tau == math.tanh(d / 4.0), case
         K = GridKernel(log_matrix(rng, FAMILIES[case % len(FAMILIES)], n + 1, n + 2),
                        np.arange(n + 1.0), np.arange(n + 2.0))
-        assert grid_kernel_tau(K) == math.tanh(unpruned_diameter(K.log_values) / 4.0), case
+        assert birkhoff_tau(K) == math.tanh(unpruned_diameter(K.log_values) / 4.0), case
         p = random_chain(rng, n)
         run = markov_converge(p, random_simplex(rng, n), 2)
         assert run.tau == math.tanh(float(projective_diameter(p)) / 4.0), case

@@ -9,6 +9,7 @@ from hilbertcone import (
     CoordinateRangeError,
     DomainError,
     HilbertConeError,
+    PositiveVector,
     RenderStyle,
     SimplexPoint,
     ThetaVector,
@@ -19,6 +20,7 @@ from hilbertcone import (
     ball_vertices,
     hilbert_distance,
     hilbert_via_theta,
+    normalize,
     render_svg,
     theta_chart,
     theta_inverse,
@@ -138,7 +140,7 @@ class TestBallVertices:
         # Subnormal vertex weights lose the precision the 1e-9 sphere check needs;
         # past ~745 they underflow to the simplex boundary.
         assert len(ball_vertices(UNIFORM3, 720.0).simplex_vertices) == 6
-        with pytest.raises(ValidationError, match="misses the sphere"):
+        with pytest.raises(CoordinateRangeError, match="misses the sphere"):
             ball_vertices(UNIFORM3, 730.0)
         with pytest.raises(DomainError):
             ball_vertices(UNIFORM3, 800.0)
@@ -147,12 +149,20 @@ class TestBallVertices:
         (math.inf, ValidationError, "theta coordinates must be finite"),
         (1e308, CoordinateRangeError, "coordinate spread 1e+308 underflows a softmax weight to 0"),
         (800.0, CoordinateRangeError, "coordinate spread 800 underflows a softmax weight to 0"),
-        (730.0, ValidationError, "vertex misses the sphere by 7.2e-07"),
+        (730.0, CoordinateRangeError, "vertex misses the sphere by 7.2e-07"),
     ])
     def test_error_at_float_range_radius(self, radius, error, message):
         with pytest.raises(error) as info:
             ball_vertices(UNIFORM3, radius)
         assert type(info.value) is error and str(info.value) == message
+
+    def test_subnormal_center_weight_misses_the_sphere(self):
+        # A subnormal center weight carries too few bits for the 1e-9 sphere check: a
+        # range failure, as the radius 730 above, at a radius well inside float range.
+        nu = normalize(PositiveVector((1e-320, 1.0, 1.0)))
+        with pytest.raises(CoordinateRangeError) as info:
+            ball_vertices(nu, 0.5)
+        assert str(info.value) == "vertex misses the sphere by 0.000311"
 
     def test_first_failing_vertex_names_its_own_spread(self):
         # Chart coordinates (0, 700): vertex 0, (50, 700), spreads 700; vertex 1,
@@ -366,7 +376,7 @@ class TestTile:
     @pytest.mark.parametrize("chart, shells, error, message", [
         ((300.0, 0.0), 2, CoordinateRangeError,
          "coordinate spread 950 underflows a softmax weight to 0"),
-        ((300.0, 60.0), 1, ValidationError, "vertex misses the sphere by 0.00258"),
+        ((300.0, 60.0), 1, CoordinateRangeError, "vertex misses the sphere by 0.00258"),
     ])
     def test_first_failure_in_ball_order(self, chart, shells, error, message):
         # A later ball's center fails as well, with a smaller spread.  The error is

@@ -22,7 +22,9 @@ tau-kernel documents are a checkerboard of +-8e307: every difference of two log
 values is finite, but the diameter, 3.2e308, is past float range.  About 2% more
 are grid objects whose a_grid steps from -1.7e308 to 1e308..1.7e308, a step past
 float range, and about 2% of the markov chains have a row of 1e308s, whose sum
-is past float range.  Warnings are shown each time they are raised, as they would be in a
+is past float range.  About 2% of the ball and tile centers have one weight from
+5e-324, 1e-320 and 2e-310, at the bottom of float range, which can underflow to 0 at
+unit mass.  Warnings are shown each time they are raised, as they would be in a
 process of their own.
 """
 
@@ -60,6 +62,7 @@ json.dump(res, sys.stdout)
 # ball and tile are drawn twice as often as the others; balls go up to S^8, tiles to 3 shells.
 COMMANDS = "dist bounds tau tau-kernel verify markov ball ball tile tile".split()
 RADII = "1e-300 1e-05 0.1 0.5 1 3 12345.678 720 730 800 1e308 inf nan 0 -1".split()
+TINY = [5e-324, 1e-320, 2e-310]  # a center weight that can underflow at unit mass
 MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", "[]", "{}", "1,x", "[true, 1]", "nan"]
 PARTS = ("exit code", "stderr", "stdout", "SVG")  # the fields of one RUNNER result
 SHOWN = 3  # differing ops printed per subcommand
@@ -107,6 +110,12 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
                     "x_grid": list(range(n + 1))}
         return lv
 
+    def center(n: int) -> list[float]:  # 2% with one weight at the bottom of float range
+        w = vec(n, 0.05)
+        if rng.random() < 0.02:
+            w[rng.integers(n)] = TINY[rng.integers(len(TINY))]
+        return w
+
     def start(n: int) -> list[float]:  # 20% on a face of the simplex
         w = vec(n, 0.0)
         if rng.random() < 0.2:
@@ -119,8 +128,8 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
         "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", "20"],
         "tau-kernel": lambda n: [doc(kernel(n))],
         "markov": lambda n: [doc(chain(n)), doc(start(n)), rng.integers(0, 81)],
-        "ball": lambda n: [doc(vec(n + int(rng.integers(0, 3)), 0.05)), rng.choice(RADII)],
-        "tile": lambda n: [doc(vec(3 + (rng.random() < 0.05), 0.05)), rng.choice(RADII),
+        "ball": lambda n: [doc(center(n + int(rng.integers(0, 3)))), rng.choice(RADII)],
+        "tile": lambda n: [doc(center(3 + (rng.random() < 0.05))), rng.choice(RADII),
                            rng.integers(-1, 4), "--svg", "t.svg"],
     }
     args["bounds"] = args["dist"]
