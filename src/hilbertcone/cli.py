@@ -309,8 +309,11 @@ def run_command(argv: list[str], out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except (HilbertConeError, OSError, MemoryError) as exc:  # MemoryError: a failed allocation
+    except (HilbertConeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a failed allocation; the interpreter's own has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

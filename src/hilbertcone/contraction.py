@@ -59,11 +59,12 @@ __all__ = [
 # 1,000,000 steps need ~0.4 GB.  More are refused before the walk: a huge count ends in one
 # error line, not in an out-of-memory kill.
 _MAX_STEPS = 1_000_000
-# verify_contraction holds up to seven trials x n float arrays at once, 48-56 B per trial
-# and component (ru_maxrss grows by 80 MB from 250,000 to 1,000,000 trials at n=2, and by
-# 69 MB from 2,000 to 8,000 trials at n=250), so 10,000,000 need ~0.56 GB.  More are
+# verify_contraction runs its trials in blocks of about _BLOCK draws a side, so its memory
+# is about one block (~2 MB) whatever the trial count.  The cap bounds its work instead:
+# 10,000,000 draws a side take 1.2-1.3 s on a 2-vCPU x86 host (0.5 s at n=250).  More are
 # refused before the draw.
 _MAX_DRAWS = 10_000_000
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +246,13 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
     """Sample random positive pairs and measure the worst contraction violation.
 
     Components are drawn as exp(uniform(-3, 3)) from numpy's seeded
-    default_rng (PCG64), so identical seeds give identical reports.  ``trials * n``
-    is at most 10,000,000.
+    default_rng (PCG64), so identical seeds give identical reports: the x of every
+    trial take the first ``trials * n`` draws, and the y the next ``trials * n``.
+    ``trials * n`` is at most 10,000,000.  The trials run in blocks of
+    ``max(1, 2**15 // n)``, so memory stays about 2 MB (ten arrays of one block)
+    whatever ``trials`` is.  The maximum over the blocks is exact, but BLAS may round a
+    row of ``x A^T`` by how the rows are split, so a run of several blocks can differ
+    from one unblocked pass in the last bits; a run of one block is that pass.
     """
     A = _as_matrix(A)
     if trials < 1:
@@ -258,16 +264,22 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
         raise ValidationError(f"trials * n must be <= {_MAX_DRAWS}, got {trials} * {n}")
     d = A._diameter
     tau = _t(d)
-    rng = np.random.default_rng(seed)
-    X = np.exp(rng.uniform(-3.0, 3.0, size=(trials, n)))
-    Y = np.exp(rng.uniform(-3.0, 3.0, size=(trials, n)))
-    t_xy = np.tanh(osc(np.log(Y) - np.log(X)) / 4.0)
-    with np.errstate(over="ignore", divide="ignore"):  # such images are rejected below
-        LAX, LAY = np.log(X @ A.entries.T), np.log(Y @ A.entries.T)
-    if not (np.isfinite(LAX).all() and np.isfinite(LAY).all()):
-        raise DomainError("A x overflows or underflows a float for a sampled x; rescale A")
-    t_axy = np.tanh(osc(LAY - LAX) / 4.0)
-    max_violation = float((t_axy - tau * t_xy).max())
+    # uniform takes one 64-bit output a double, so y's generator skips x's trials * n.
+    rx, ry = np.random.default_rng(seed), np.random.default_rng(seed)
+    ry.bit_generator.advance(trials * n)
+    rows = max(1, _BLOCK // n)
+    max_violation = -math.inf
+    for start in range(0, trials, rows):
+        shape = (min(rows, trials - start), n)
+        X = np.exp(rx.uniform(-3.0, 3.0, size=shape))
+        Y = np.exp(ry.uniform(-3.0, 3.0, size=shape))
+        t_xy = np.tanh(osc(np.log(Y) - np.log(X)) / 4.0)
+        with np.errstate(over="ignore", divide="ignore"):  # such images are rejected below
+            LAX, LAY = np.log(X @ A.entries.T), np.log(Y @ A.entries.T)
+        if not (np.isfinite(LAX).all() and np.isfinite(LAY).all()):
+            raise DomainError("A x overflows or underflows a float for a sampled x; rescale A")
+        t_axy = np.tanh(osc(LAY - LAX) / 4.0)
+        max_violation = max(max_violation, float((t_axy - tau * t_xy).max()))
     return ContractionReport(
         tau=tau,
         phi=math.exp(-d),

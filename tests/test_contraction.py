@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 import tracemalloc
 from itertools import product
 
@@ -482,6 +483,110 @@ class TestVerifyContraction:
             n = int(rng.integers(2, 6))
             a, b = random_allowable(rng, n), random_allowable(rng, n)
             assert birkhoff_tau(a @ b) <= birkhoff_tau(a) * birkhoff_tau(b) + 1e-10
+
+
+def verify_unblocked(A, trials, seed):
+    """max_violation of verify_contraction with every trial in one pass.
+
+    Reference for the blocked loop: x takes the first trials * n draws and y the next.
+    """
+    A = NonnegMatrix(np.asarray(A, dtype=float))
+    tau = birkhoff_tau(A)
+    rng = np.random.default_rng(seed)
+    X = np.exp(rng.uniform(-3.0, 3.0, size=(trials, A.n)))
+    Y = np.exp(rng.uniform(-3.0, 3.0, size=(trials, A.n)))
+    t_xy = np.tanh(osc(np.log(Y) - np.log(X)) / 4.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        LAX, LAY = np.log(X @ A.entries.T), np.log(Y @ A.entries.T)
+    if not (np.isfinite(LAX).all() and np.isfinite(LAY).all()):
+        raise DomainError("A x overflows or underflows a float for a sampled x; rescale A")
+    return float((np.tanh(osc(LAY - LAX) / 4.0) - tau * t_xy).max())
+
+
+def block_rows(n):
+    return max(1, contraction._BLOCK // n)
+
+
+class TestVerifyBlocks:
+    def test_one_block_is_the_unblocked_pass_bit_for_bit(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 300))
+            trials = int(rng.integers(1, block_rows(n) + 1))
+            a = random_allowable(rng, n, zero_frac=0.2 if rng.random() < 0.3 else 0.0)
+            seed = int(rng.integers(0, 1000))
+            got = verify_contraction(a, trials, seed).max_violation
+            assert got.hex() == verify_unblocked(a, trials, seed).hex(), (n, trials, seed)
+
+    @pytest.mark.parametrize("n, zeros", [(n, z) for n in (1, 2, 7, 64, 250)
+                                          for z in (False, True) if n > 1 or not z])
+    def test_blocks_match_the_unblocked_pass(self, n, zeros):
+        rng = np.random.default_rng(n)
+        a = random_allowable(rng, n)
+        if zeros:  # tau = 1; the positive diagonal keeps the matrix allowable
+            np.fill_diagonal(a, 1.0)
+            a[0, -1] = 0.0
+        r = block_rows(n)
+        for trials in (r - 1, r, r + 1, 3 * r + 5):
+            report = verify_contraction(a, trials, seed=trials)
+            want = verify_unblocked(a, trials, trials)
+            if trials <= r:  # one block
+                assert report.max_violation.hex() == want.hex()
+            # Several blocks: BLAS may round a row of x A^T by how the rows are split.
+            assert abs(report.max_violation - want) <= 1e-15, trials
+            assert report.passed == (want <= 1e-10)
+            assert report.tau == (1.0 if zeros else birkhoff_tau(a))
+
+    @pytest.mark.parametrize("n", [1, 7, 250])
+    def test_draws_are_one_sequential_draw(self, monkeypatch, n):
+        real = np.random.default_rng
+        drawn = []
+
+        class Recording:  # a default_rng that keeps what uniform returns
+            def __init__(self, seed):
+                self.gen = real(seed)
+                self.bit_generator = self.gen.bit_generator
+                self.draws = []
+                drawn.append(self.draws)
+
+            def uniform(self, *args, **kwargs):
+                self.draws.append(self.gen.uniform(*args, **kwargs))
+                return self.draws[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        trials = 3 * block_rows(n) + 5
+        verify_contraction(np.ones((n, n)), trials, seed=11)
+        assert [len(d) for d in drawn] == [4, 4]
+        x, y = (np.concatenate(d) for d in drawn)
+        whole = real(11).uniform(-3.0, 3.0, size=(2 * trials, n))
+        assert np.array_equal(x, whole[:trials]) and np.array_equal(y, whole[trials:])
+
+    def test_domain_error_from_a_later_block(self):
+        # For A = [[c]], A x overflows exactly where x > fmax / c.  Pick c between the
+        # largest draw of the first block (x and y rows) and the largest of all.
+        r = block_rows(1)
+        trials = 3 * r + 5
+        for seed in range(100):
+            x = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, size=2 * trials))
+            first = max(x[:r].max(), x[trials:trials + r].max())
+            if first < x.max():
+                break
+        c = np.float64(sys.float_info.max) / np.sqrt(first * x.max())
+        with np.errstate(over="ignore"):
+            assert np.isfinite(c * first) and np.isinf(c * x.max())
+        for verify in (verify_contraction, verify_unblocked):
+            with pytest.raises(DomainError, match="^A x overflows or underflows a float"):
+                verify([[c]], trials, seed)
+
+    def test_memory_is_one_block(self, rng):
+        A = NonnegMatrix(rng.uniform(0.1, 1.0, (250, 250)))
+        birkhoff_tau(A)  # the cached diameter pass is not part of the sampling
+        tracemalloc.start()
+        try:
+            verify_contraction(A, 2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # 19.1 MiB with every trial in one pass
 
 
 def markov_two_walks(P, mu0, steps):

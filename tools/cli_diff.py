@@ -24,8 +24,9 @@ are grid objects whose a_grid steps from -1.7e308 to 1e308..1.7e308, a step past
 float range, and about 2% of the markov chains have a row of 1e308s, whose sum
 is past float range.  About 2% of the ball and tile centers have one weight from
 5e-324, 1e-320 and 2e-310, at the bottom of float range, which can underflow to 0 at
-unit mass.  Warnings are shown each time they are raised, as they would be in a
-process of their own.
+unit mass.  About 10% of the verify ops draw --trials in 200..5,000 instead of 20,
+so that at n >= 40 the trials run in several blocks.  Warnings are shown each time
+they are raised, as they would be in a process of their own.
 """
 
 import collections
@@ -116,6 +117,9 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
             w[rng.integers(n)] = TINY[rng.integers(len(TINY))]
         return w
 
+    def trials() -> int:  # 10% large: several blocks where trials > 2**15 // n
+        return int(rng.integers(200, 5001)) if rng.random() < 0.1 else 20
+
     def start(n: int) -> list[float]:  # 20% on a face of the simplex
         w = vec(n, 0.0)
         if rng.random() < 0.2:
@@ -125,7 +129,7 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
     args = {
         "dist": pair,
         "tau": lambda n: [doc([vec(n, 0.1) for _ in range(n)])],
-        "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", "20"],
+        "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", trials()],
         "tau-kernel": lambda n: [doc(kernel(n))],
         "markov": lambda n: [doc(chain(n)), doc(start(n)), rng.integers(0, 81)],
         "ball": lambda n: [doc(center(n + int(rng.integers(0, 3)))), rng.choice(RADII)],
