@@ -2,12 +2,12 @@
 
 Inputs are flat files, JSON (array or array-of-arrays, object for kernel
 grids) or CSV with '#'-prefixed header lines.  The CLI checks a document's
-shape only; the library type built from it checks the values.  All
-floating-point output is serialized with ``repr`` (shortest round-trip),
-infinite distances as the JSON string "inf", so reruns with identical
-arguments and seed are byte-identical.  The seed, an integer >= 0, defaults to
-0 and can be overridden by the ``HILBERT_CONE_SEED`` environment variable or
-``--seed``.
+shape, and that no weight is lost at unit mass; the library type built from
+it checks the values.  All floating-point output is serialized with ``repr``
+(shortest round-trip), infinite distances as the JSON string "inf", so reruns
+with identical arguments and seed are byte-identical.  The seed, an integer
+>= 0, defaults to 0 and can be overridden by the ``HILBERT_CONE_SEED``
+environment variable or ``--seed``.
 """
 
 from __future__ import annotations
@@ -108,6 +108,15 @@ def _load(path: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridK
         return parse_input(fh.read(), kind)
 
 
+def _measure(x: PositiveVector, arg: str) -> SimplexPoint:
+    """The unit mass of ``x``, refused where it zeroes a positive weight (no rescale helps)."""
+    mu = normalize(x)
+    if not all(mu.weights) and mu.weights.count(0.0) > x.weights.count(0.0):
+        i = next(i for i, (w, m) in enumerate(zip(x.weights, mu.weights)) if w > m == 0.0)
+        raise DomainError(f"argument {arg}: weight at index {i} underflows to 0 at unit mass")
+    return mu
+
+
 def _emit_json(obj, out) -> None:
     """Write a flat dict, or a list of them, as indented JSON with inf as the string "inf"."""
     rows = [{k: "inf" if v == math.inf else v for k, v in r.items()}
@@ -118,7 +127,7 @@ def _emit_json(obj, out) -> None:
 
 def _cmd_dist(args, out) -> int:
     a, b = _load(args.a, "vector"), _load(args.b, "vector")
-    mu, nu = normalize(a), normalize(b)
+    mu, nu = _measure(a, "a"), _measure(b, "b")
     h = hilbert_distance(a, b)
     _emit_json(
         {
@@ -175,25 +184,15 @@ def _write_ball(ball: spx.BallPolytope, out, pad: str = "") -> None:
               + f',\n{p}"halfspaces": ' + _rows_text(ball.halfspaces, "%d", p) + f"\n{pad}}}")
 
 
-def _center(path: str) -> SimplexPoint:
-    """The unit mass of the vector at ``path``, refused where a positive weight underflows."""
-    x = _load(path, "vector")
-    mu = normalize(x)
-    if x.full_support and not mu.full_support:  # the chart would blame a zero never written
-        raise DomainError(f"center weight at index {mu.weights.index(0.0)} underflows to 0 "
-                          "at unit mass; rescale the weights")
-    return mu
-
-
 def _cmd_ball(args, out) -> int:
-    center = _center(args.center)
+    center = _measure(_load(args.center, "vector"), "center")
     _write_ball(spx.ball_vertices(center, args.radius), out)
     out.write("\n")
     return 0
 
 
 def _cmd_tile(args, out) -> int:
-    center = _center(args.center)
+    center = _measure(_load(args.center, "vector"), "center")
     balls = spx.tile(center, args.radius, args.shells)
     with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(spx.render_svg(balls, spx.View.SIMPLEX_2D))
@@ -208,7 +207,7 @@ def _cmd_tile(args, out) -> int:
 
 def _cmd_markov(args, out) -> int:
     P = _load(args.matrix, "matrix")
-    mu0 = normalize(_load(args.mu0, "vector"))
+    mu0 = _measure(_load(args.mu0, "vector"), "mu0")
     run = ctr.markov_converge(P, mu0, args.steps)
     out.write("step,hilbert,t,tv,certified_bound\n")
     for row in run.steps:
@@ -217,7 +216,8 @@ def _cmd_markov(args, out) -> int:
 
 
 def _cmd_bounds(args, out) -> int:
-    mu, nu = normalize(_load(args.a, "vector")), normalize(_load(args.b, "vector"))
+    a, b = _load(args.a, "vector"), _load(args.b, "vector")
+    mu, nu = _measure(a, "a"), _measure(b, "b")
     _emit_json([vars(r) for r in bnd.bound_reports(mu, nu)], out)
     return 0
 

@@ -655,9 +655,9 @@ def raw_pair(rng, n):
     return PositiveVector(tuple(a)), PositiveVector(tuple(b))
 
 
-def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path):
+def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path, capsys):
     """500 pairs, n 2..2,000: every report field and dist value, library and CLI."""
-    kinds = set()
+    kinds, cli_kinds = set(), set()
     for t in range(500):
         u = rng.random()
         n = int(rng.integers(2, 41) if u < 0.7 else rng.integers(41, 501) if u < 0.95
@@ -698,6 +698,17 @@ def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path):
             for name, x in (("a", a), ("b", b)):
                 files.append(str(tmp_path / f"{name}.json"))
                 (tmp_path / f"{name}.json").write_text(json.dumps(list(x.weights)))
+            # The CLI refuses a vector whose unit mass loses a positive weight, naming the first.
+            lost = [(name, i) for name, x in (("a", a), ("b", b)) for i, w in enumerate(x.weights)
+                    if w > 0.0 and w / math.fsum(x.weights) == 0.0]
+            cli_kinds.add(bool(lost))
+            if lost:
+                for cmd in ("bounds", "dist"):
+                    assert run_command([cmd, *files], io.StringIO()) == 1
+                    assert capsys.readouterr().err == (f"error: argument {lost[0][0]}: weight at "
+                                                       f"index {lost[0][1]} underflows to 0 at "
+                                                       "unit mass\n")
+                continue
             out = io.StringIO()
             assert run_command(["bounds", *files], out) == 0
             xs = [float(i) for i in range(n)]
@@ -712,6 +723,7 @@ def test_reports_match_scalar_reference_bit_for_bit(rng, tmp_path):
                         "comparable": ref_support(a) == ref_support(b)}
             assert bits(json.loads(out.getvalue())) == bits(expected)
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+    assert cli_kinds == {False, True}
 
 
 def test_bound_reports_match_the_public_functions_bit_for_bit(rng):

@@ -10,6 +10,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -425,8 +426,7 @@ class TestCleanErrors:
         c = write(tmp_path, "c.json", "[5e-324, 1, 1]")
         assert run([cmd, c, "0.5", *extra]) == (1, "")
         err = capsys.readouterr().err
-        assert err == ("error: center weight at index 0 underflows to 0 at unit mass; "
-                       "rescale the weights\n")
+        assert err == "error: argument center: weight at index 0 underflows to 0 at unit mass\n"
         # The center is refused before the radius is checked.
         assert run([cmd, c, "-1", *extra]) == (1, "")
         assert capsys.readouterr().err == err
@@ -435,6 +435,55 @@ class TestCleanErrors:
         assert run([cmd, z, "0.5", *extra]) == (1, "")
         assert capsys.readouterr().err == ("error: chart is only defined on the simplex interior "
                                            "(no zero weights)\n")
+        # Beside a written zero, the lost weight is the one named.
+        zt = write(tmp_path, "zt.json", "[0, 5e-324, 1, 1]")
+        assert run([cmd, zt, "0.5", *extra]) == (1, "")
+        assert capsys.readouterr().err == err.replace("index 0", "index 1")
+
+    @pytest.mark.parametrize("cmd", ["dist", "bounds"])
+    def test_pair_weight_that_underflows_at_unit_mass(self, tmp_path, capsys, cmd):
+        # H of this pair is 1206.6, but its unit masses lose 3 and 2 weights to underflow
+        # and would sit on faces at H = inf: this printed "kl": "inf" and inapplicable bounds.
+        rng = np.random.default_rng(3)
+        ws = [np.exp(rng.uniform(-700, 700, 6)).tolist() for _ in "ab"]
+        a, b = (write(tmp_path, f"{name}.json", json.dumps(w)) for name, w in zip("ab", ws))
+        ones = write(tmp_path, "ones.json", json.dumps([1.0] * 6))
+        assert run([cmd, a, b]) == (1, "")
+        assert capsys.readouterr().err == ("error: argument a: weight at index 0 underflows "
+                                           "to 0 at unit mass\n")
+        assert run([cmd, ones, b]) == (1, "")
+        assert capsys.readouterr().err == ("error: argument b: weight at index 1 underflows "
+                                           "to 0 at unit mass\n")
+        # Both documents load before either is scaled: a malformed b names its own fault.
+        bad = write(tmp_path, "bad.json", "[1, \"x\"]")
+        assert run([cmd, a, bad]) == (1, "")
+        assert capsys.readouterr().err == "error: entry at (0, 1) is not a number: 'x'\n"
+
+    def test_markov_start_weight_that_underflows_at_unit_mass(self, tmp_path, capsys):
+        # This printed a face-start table, H(mu_0, pi) = inf, for a mu0 the user never wrote.
+        p = write(tmp_path, "p.json", "[[0.75, 0.25], [0.25, 0.75]]")
+        mu0 = write(tmp_path, "mu0.json", "[5e-324, 3]")
+        assert run(["markov", p, mu0, "3"]) == (1, "")
+        assert capsys.readouterr().err == ("error: argument mu0: weight at index 0 underflows "
+                                           "to 0 at unit mass\n")
+
+    def test_written_zero_is_not_refused(self, tmp_path):
+        # Only a zero that scaling made is refused; one the document holds keeps its output.
+        z, ones = write(tmp_path, "z.json", "[0, 1, 1]"), write(tmp_path, "ones.json", "[1, 1, 1]")
+        assert run(["dist", z, ones]) == (0, (
+            '{\n  "hilbert": "inf",\n  "t": 1.0,\n  "tv": 0.6666666666666667,\n'
+            '  "kl": 0.4054651081081645,\n  "comparable": false\n}\n'))
+        reports = bounds.bound_reports(normalize(PositiveVector((0.0, 1.0, 1.0))),
+                                       normalize(PositiveVector((1.0, 1.0, 1.0))))
+        expected = io.StringIO()
+        cli._emit_json([vars(r) for r in reports], expected)
+        assert run(["bounds", z, ones]) == (0, expected.getvalue())
+        p = write(tmp_path, "p.json", "[[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]")
+        assert run(["markov", p, z, "2"]) == (0, (
+            "step,hilbert,t,tv,certified_bound\n"
+            "0,inf,1.0,0.6666666666666572,inf\n"
+            "1,0.40546510810814307,0.10102051443363852,0.1666666666666572,inf\n"
+            "2,0.09531017980430355,0.023823036596963734,0.04166666666665719,inf\n"))
 
     def test_markov_above_the_step_cap(self, tmp_path, monkeypatch, capsys):
         # 10^8 steps would keep ~39 GB of rows; the count is refused before the walk.

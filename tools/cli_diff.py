@@ -13,19 +13,22 @@ directory (``cd`` there, then ``hilbertcone`` and the argv).
 
 Most ops draw n in 2..7.  About 5% of the matrix ops draw n in 40..160, where
 the diameter pass runs in several blocks, and about 5% of the dist and bounds
-ops draw n in 1,000..10,000.  About 5% of the dist and bounds ops draw both
-vectors with full support and weights exp(uniform(-s, s)), s = 350 or 700,
-instead of lognormal(0, 2) ones with 20% zeros, so that H reaches its
-log-space branch: at s = 700 on the raw vectors (dist), at s = 350 also after
-normalization, which keeps every weight above e^-700 (bounds).  About 2% of the
-tau-kernel documents are a checkerboard of +-8e307: every difference of two log
-values is finite, but the diameter, 3.2e308, is past float range.  About 2% more
-are grid objects whose a_grid steps from -1.7e308 to 1e308..1.7e308, a step past
-float range, and about 2% of the markov chains have a row of 1e308s, whose sum
-is past float range.  About 2% of the ball and tile centers have one weight from
-5e-324, 1e-320 and 2e-310, at the bottom of float range, which can underflow to 0 at
-unit mass.  About 10% of the verify ops draw --trials in 200..5,000 instead of 20,
-so that at n >= 40 the trials run in several blocks.  Warnings are shown each time
+ops draw n in 1,000..10,000.  About 5% of the dist and bounds ops (both commands
+draw alike) draw both vectors with full support and weights exp(uniform(-s, s)),
+s = 350 or 700, instead of lognormal(0, 2) ones with 20% zeros.  At s = 350 the
+unit mass keeps every weight above e^-700, and H, on the raw vectors (dist) and
+on the unit masses (bounds), reaches its log-space branch.  Most s = 700 pairs
+(34 of 38 at seeds 5 and 6) lose a weight to underflow at unit mass, and end at
+the CLI's refusal of such a vector.  About 2% of the tau-kernel documents are a
+checkerboard of +-8e307: every difference of two log values is finite, but the
+diameter, 3.2e308, is past float range.  About 2% more are grid objects whose
+a_grid steps from -1.7e308 to 1e308..1.7e308, a step past float range, and about
+2% of the markov chains have a row of 1e308s, whose sum is past float range.
+About 2% of the ball and tile centers have one weight from 5e-324, 1e-320 and
+2e-310, at the bottom of float range, which can underflow to 0 at unit mass.
+About 90% of the verify ops at n >= 40, and 10% of the others, draw --trials in
+200..5,000 instead of 20, so that at n >= 40 the trials mostly run in several
+blocks (11 and 17 ops of 4,000 at seeds 5 and 6).  Warnings are shown each time
 they are raised, as they would be in a process of their own.
 """
 
@@ -117,8 +120,8 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
             w[rng.integers(n)] = TINY[rng.integers(len(TINY))]
         return w
 
-    def trials() -> int:  # 10% large: several blocks where trials > 2**15 // n
-        return int(rng.integers(200, 5001)) if rng.random() < 0.1 else 20
+    def trials(n: int) -> int:  # large for 90% at n >= 40, 10% below: blocks of 2**15 // n
+        return int(rng.integers(200, 5001)) if rng.random() < (0.9 if n >= 40 else 0.1) else 20
 
     def start(n: int) -> list[float]:  # 20% on a face of the simplex
         w = vec(n, 0.0)
@@ -129,7 +132,7 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
     args = {
         "dist": pair,
         "tau": lambda n: [doc([vec(n, 0.1) for _ in range(n)])],
-        "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", trials()],
+        "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", trials(n)],
         "tau-kernel": lambda n: [doc(kernel(n))],
         "markov": lambda n: [doc(chain(n)), doc(start(n)), rng.integers(0, 81)],
         "ball": lambda n: [doc(center(n + int(rng.integers(0, 3)))), rng.choice(RADII)],
