@@ -26,12 +26,13 @@ import numpy as np
 from .core import (
     SimplexPoint,
     _check_lengths,
+    _check_points,
     _t,
     _tv,
     comparable,
     hilbert_distance,
 )
-from .errors import CertificationError, DimensionError, DomainError, ValidationError
+from .errors import CertificationError, DomainError, ValidationError
 from .simplex import ThetaVector, _check_ball_center, _check_radius, theta_chart, theta_inverse
 
 __all__ = [
@@ -243,17 +244,6 @@ def f_divergence(mu: SimplexPoint, nu: SimplexPoint, f: ConvexFunctionSpec) -> f
     return val
 
 
-def _check_support_points(support_points: Sequence[float], k: int) -> np.ndarray:
-    xs = np.array(list(map(float, support_points)))
-    if len(xs) != k:
-        raise DimensionError(f"{len(xs)} support points for measures of length {k}")
-    if not np.isfinite(xs).all():
-        raise ValidationError("support points must be finite")
-    if (xs[1:] <= xs[:-1]).any():
-        raise ValidationError("support points must be strictly increasing")
-    return xs
-
-
 def _check_x0(x0: float) -> None:
     if not math.isfinite(x0):
         raise ValidationError(f"x0 must be finite, got {x0!r}")
@@ -279,7 +269,7 @@ def _w1(xs: np.ndarray, m: np.ndarray, v: np.ndarray) -> float:
 def w1_exact_1d(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Exact 1-D Wasserstein-1 distance: integral of the CDF gap."""
     m, v = _arrays(mu, nu)
-    return _w1(_check_support_points(support_points, len(mu)), m, v)
+    return _w1(_check_points(support_points, len(mu), "support point", "measures"), m, v)
 
 
 def _w1_bound(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, h: float) -> BoundReport:
@@ -295,7 +285,7 @@ def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: Simpl
     """W1 <= (e^H - 1) * first moment of mu around x0."""
     _check_x0(x0)
     m, v = _arrays(mu, nu)
-    xs = _check_support_points(support_points, len(mu))
+    xs = _check_points(support_points, len(mu), "support point", "measures")
     return _w1_bound(xs, m, v, x0, hilbert_distance(mu, nu))
 
 
@@ -324,7 +314,7 @@ def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: Simp
     if not (q >= 0.0 and math.isfinite(q)):  # nan fails q >= 0
         raise ValidationError(f"q must be finite and >= 0, got {q!r}")
     m, v = _arrays(mu, nu)
-    xs = _check_support_points(support_points, len(mu))
+    xs = _check_points(support_points, len(mu), "support point", "measures")
     return _moment_gap(xs, m, v, x0, q, hilbert_distance(mu, nu))
 
 

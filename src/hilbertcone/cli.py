@@ -2,12 +2,13 @@
 
 Inputs are flat files, JSON (array or array-of-arrays, object for kernel
 grids) or CSV with '#'-prefixed header lines.  The CLI checks a document's
-shape, and that no weight is lost at unit mass; the library type built from
-it checks the values.  All floating-point output is serialized with ``repr``
-(shortest round-trip), infinite distances as the JSON string "inf", so reruns
-with identical arguments and seed are byte-identical.  The seed, an integer
->= 0, defaults to 0 and can be overridden by the ``HILBERT_CONE_SEED``
-environment variable or ``--seed``.
+shape, its kernel grids (in the library's message form) and that no weight
+is lost at unit mass; the library type built from it checks the values.  All
+floating-point output is serialized with ``repr`` (shortest round-trip),
+infinite distances as the JSON string "inf", so reruns with identical
+arguments and seed are byte-identical (``verify``: at a fixed BLAS thread
+count).  The seed, an integer >= 0, defaults to 0 and can be overridden by
+the ``HILBERT_CONE_SEED`` environment variable or ``--seed``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import os
 import reprlib
 import sys
 
-import numpy as np
-
 from . import bounds as bnd
 from . import contraction as ctr
 from . import simplex as spx
-from .core import PositiveVector, SimplexPoint, _t, hilbert_distance, normalize
+from .core import PositiveVector, SimplexPoint, _check_points, _t, hilbert_distance, normalize
 from .errors import DomainError, HilbertConeError, ValidationError
 
 __all__ = ["parse_input", "run_command", "main"]
@@ -91,15 +90,17 @@ def parse_input(text: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr
                 raise ValidationError("expected a single row for a vector input")
             data = data[0]
         return PositiveVector(tuple(_number_rows([data])[0]))
-    if isinstance(data, dict):
-        try:
-            lv, ag, xg = data["log_values"], data["a_grid"], data["x_grid"]
-        except KeyError as exc:
-            raise ValidationError(f"kernel grid document is missing key {exc}") from exc
-        return ctr.GridKernel(_number_rows(lv), _number_rows([ag])[0], _number_rows([xg])[0])
-    lv = _number_rows(data)
-    # Implicit uniform unit grids; a one-point axis gets [0.0], which GridKernel rejects.
-    return ctr.GridKernel(lv, np.linspace(0.0, 1.0, len(lv)), np.linspace(0.0, 1.0, len(lv[0])))
+    if not isinstance(data, dict):  # a bare matrix of log values
+        return ctr.GridKernel(_number_rows(data))
+    try:
+        lv, ag, xg = data["log_values"], data["a_grid"], data["x_grid"]
+    except KeyError as exc:
+        raise ValidationError(f"kernel grid document is missing key {exc}") from exc
+    lv, ag, xg = _number_rows(lv), _number_rows([ag])[0], _number_rows([xg])[0]
+    K = ctr.GridKernel(lv)
+    for name, grid, size in zip(("a_grid", "x_grid"), (ag, xg), K.log_values.shape):
+        _check_points(grid, size, f"{name} point", "a log_values axis")  # K holds no grid
+    return K
 
 
 def _load(path: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridKernel:

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     PositiveVector,
     SimplexPoint,
+    _check_entries,
     _hilbert_weights,
     _t,
     _tv,
@@ -79,15 +80,11 @@ class NonnegMatrix:
             raise DimensionError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionError("matrix must be at least 1x1")
-        for bad, what in ((~np.isfinite(a), "not finite"), (a < 0, "negative")):
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise ValidationError(f"entry at ({i}, {j}) is {what}: {float(a[i, j])!r}")
+        _check_entries(a, "entry", nonneg=True)
         # Tested with any, not sum: a sum of finite entries can overflow to inf.
-        if not (a > 0).any(axis=1).all():
-            raise ValidationError("matrix is not allowable: a row is identically zero")
-        if not (a > 0).any(axis=0).all():
-            raise ValidationError("matrix is not allowable: a column is identically zero")
+        for axis, line in ((1, "row"), (0, "column")):
+            if not (a > 0).any(axis=axis).all():
+                raise ValidationError(f"matrix is not allowable: a {line} is identically zero")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -112,40 +109,28 @@ def _as_matrix(a) -> NonnegMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GridKernel:
-    """A strictly positive kernel density on a grid, stored as log values.
+    """A strictly positive kernel sampled on a grid, held only as its log values.
 
-    ``log_values[i, j] = log kappa(a_grid[i], x_grid[j])``.  Both grids only
-    need to be strictly increasing: :func:`kernel_apply` takes masses on
-    ``x_grid``, so no quadrature weight enters.
+    ``log_values[i, j] = log kappa(a_i, x_j)``.  The sample points themselves play no
+    part: Birkhoff's coefficient depends only on the values, and :func:`kernel_apply`
+    takes masses on the x points, so no quadrature weight enters.
     """
 
     log_values: np.ndarray
-    a_grid: np.ndarray
-    x_grid: np.ndarray
 
     def __post_init__(self) -> None:
         lv = np.array(self.log_values, dtype=float)
-        ag = np.array(self.a_grid, dtype=float)
-        xg = np.array(self.x_grid, dtype=float)
         if lv.ndim != 2:
             raise DimensionError("log_values must be a 2-D array")
-        m, p = lv.shape
-        if m < 2 or p < 2:
+        if min(lv.shape) < 2:
             raise ValidationError("kernel grid needs at least 2 points on each axis")
-        if ag.shape != (m,) or xg.shape != (p,):
-            raise DimensionError("grid lengths must match the log_values shape")
-        for name, arr in (("log kernel values", lv), ("a_grid", ag), ("x_grid", xg)):
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} must be finite")
+        _check_entries(lv, "log kernel value")
         # Then no difference of two log values overflows in the diameter pass; an
         # oscillation of such differences, up to twice the span, can (see _diameter).
         if not math.isfinite(float(lv.max()) - float(lv.min())):
             raise ValidationError("log kernel values must span a finite range (max - min)")
-        if not ((ag[1:] > ag[:-1]).all() and (xg[1:] > xg[:-1]).all()):  # no difference to overflow
-            raise ValidationError("grids must be strictly increasing")
-        for name, arr in (("log_values", lv), ("a_grid", ag), ("x_grid", xg)):
-            arr.setflags(write=False)  # the cached diameter relies on it
-            object.__setattr__(self, name, arr)
+        lv.setflags(write=False)  # the cached diameter relies on it
+        object.__setattr__(self, "log_values", lv)
 
     @cached_property
     def _diameter(self) -> float:
@@ -246,13 +231,13 @@ def verify_contraction(A, trials: int, seed: int) -> ContractionReport:
     """Sample random positive pairs and measure the worst contraction violation.
 
     Components are drawn as exp(uniform(-3, 3)) from numpy's seeded
-    default_rng (PCG64), so identical seeds give identical reports: the x of every
-    trial take the first ``trials * n`` draws, and the y the next ``trials * n``.
-    ``trials * n`` is at most 10,000,000.  The trials run in blocks of
-    ``max(1, 2**15 // n)``, so memory stays about 2 MB (ten arrays of one block)
-    whatever ``trials`` is.  The maximum over the blocks is exact, but BLAS may round a
-    row of ``x A^T`` by how the rows are split, so a run of several blocks can differ
-    from one unblocked pass in the last bits; a run of one block is that pass.
+    default_rng (PCG64): the x of every trial take the first ``trials * n`` draws,
+    and the y the next ``trials * n``.  ``trials * n`` is at most 10,000,000.  The
+    trials run in blocks of ``max(1, 2**15 // n)``, so memory stays about 2 MB (ten
+    arrays of one block) whatever ``trials`` is.  The maximum over the blocks is exact,
+    but BLAS rounds a row of ``x A^T`` by how it splits the work, so identical seeds
+    give identical reports only at a fixed BLAS thread count, and a run of several
+    blocks can differ from one unblocked pass in the last bits.
     """
     A = _as_matrix(A)
     if trials < 1:

@@ -39,6 +39,38 @@ __all__ = [
 ]
 
 
+def _check_entries(values, noun: str, nonneg: bool = False) -> None:
+    """Refuse the first entry that is not finite, else (with ``nonneg``) the first negative one.
+
+    ``values`` is a 1-D or 2-D array, or a tuple of floats tested in pure Python (at small n,
+    numpy's per-call cost would dominate).  Only a failed test looks for the entry.
+    """
+    if isinstance(values, tuple):
+        if all(map(math.isfinite, values)) and not (nonneg and min(values) < 0.0):
+            return
+    elif np.isfinite(values).all() and not (nonneg and (values < 0.0).any()):
+        return
+    a = np.asarray(values, dtype=float)
+    for bad, what in ((~np.isfinite(a), "not finite"), (a < 0.0, "negative")):
+        if bad.any():
+            at = tuple(map(int, np.argwhere(bad)[0]))
+            where = f"index {at[0]}" if a.ndim == 1 else str(at)
+            raise ValidationError(f"{noun} at {where} is {what}: {float(a[at])!r}")
+
+
+def _check_points(points, n: int, noun: str, of: str) -> np.ndarray:
+    """``points`` as a float array, refused unless they are n finite, strictly increasing values."""
+    xs = np.array(list(map(float, points)))
+    if len(xs) != n:
+        raise DimensionError(f"{len(xs)} {noun}s for {of} of length {n}")
+    _check_entries(xs, noun)
+    if not (xs[1:] > xs[:-1]).all():  # compared, not subtracted: a step can overflow
+        i = int(np.argmax(xs[1:] <= xs[:-1])) + 1
+        raise ValidationError(f"{noun}s must be strictly increasing: "
+                              f"index {i} holds {float(xs[i])!r} after {float(xs[i - 1])!r}")
+    return xs
+
+
 @dataclass(frozen=True)
 class PositiveVector:
     """A ray representative in the nonnegative orthant.
@@ -54,11 +86,7 @@ class PositiveVector:
         ws = tuple(map(float, self.weights))
         if len(ws) < 2:
             raise ValidationError("vector needs at least 2 components")
-        # Checked in bulk; the loop only names the first bad weight.
-        if not (all(map(math.isfinite, ws)) and min(ws) >= 0.0):
-            for i, w in enumerate(ws):
-                if math.isnan(w) or not math.isfinite(w) or w < 0.0:
-                    raise ValidationError(f"weight at index {i} must be finite and >= 0, got {w!r}")
+        _check_entries(ws, "weight", nonneg=True)
         if not max(ws) > 0.0:
             raise ValidationError("at least one weight must be strictly positive")
         object.__setattr__(self, "weights", ws)
@@ -98,12 +126,10 @@ class LogDensityVector:
     entries: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        es = tuple(float(e) for e in self.entries)
+        es = tuple(map(float, self.entries))
         if len(es) < 2:
             raise ValidationError("log-density vector needs at least 2 entries")
-        for i, e in enumerate(es):
-            if not math.isfinite(e):
-                raise ValidationError(f"log-density entry at index {i} must be finite, got {e!r}")
+        _check_entries(es, "log-density entry")
         object.__setattr__(self, "entries", es)
 
     def __len__(self) -> int:

@@ -22,7 +22,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import SimplexPoint, _check_lengths, osc
+from .core import SimplexPoint, _check_entries, _check_lengths, osc
 from .errors import (
     CoordinateRangeError,
     DimensionError,
@@ -58,12 +58,14 @@ _MAX_BALL_DIM = 13
 _MAX_SHELLS = 100
 
 
-def _check_chart_index(k) -> None:
-    """Refuse a chart index that is not an integer (numpy integers are)."""
+def _check_chart_index(k, n: int) -> None:
+    """Refuse a chart index that is not an integer in 0..n (numpy integers are integers)."""
     try:
         operator.index(k)
     except TypeError:
         raise ValidationError(f"chart index must be an integer, got {k!r}") from None
+    if not 0 <= k <= n:
+        raise ValidationError(f"chart index {k} out of range 0..{n}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,8 @@ class ThetaVector:
 
     def __post_init__(self) -> None:
         cs = tuple(map(float, self.coords))
-        _check_chart_index(self.chart_index)
-        if self.chart_index < 0 or self.chart_index > len(cs):
-            raise ValidationError(f"chart index {self.chart_index} out of range for n={len(cs)}")
-        if not all(map(math.isfinite, cs)):
-            raise ValidationError("theta coordinates must be finite")
+        _check_chart_index(self.chart_index, len(cs))
+        _check_entries(cs, "theta coordinate")
         object.__setattr__(self, "coords", cs)
 
 
@@ -132,10 +131,8 @@ def _check_ball_center(nu: SimplexPoint) -> None:
 def theta_chart(mu: SimplexPoint, k: int) -> ThetaVector:
     """Log-ratio coordinates log(mu[i]/mu[k]) for i != k."""
     _require_interior(mu)
-    _check_chart_index(k)
     n = len(mu) - 1
-    if not 0 <= k <= n:
-        raise ValidationError(f"chart index {k} out of range 0..{n}")
+    _check_chart_index(k, n)  # before mu.weights[k]: a negative k would wrap
     log_k = math.log(mu.weights[k])
     coords = tuple(math.log(mu.weights[i]) - log_k for i in range(n + 1) if i != k)
     return ThetaVector(k, coords)

@@ -149,13 +149,13 @@ def test_criterion_03_diameter_attainment():
 def test_criterion_04_kernel_coefficient():
     g = np.linspace(0.0, 1.0, 21)
     L = -((g[:, None] - g[None, :]) ** 2) / (2 * 0.5**2)
-    phi = birkhoff_phi(GridKernel(L, g, g))
+    phi = birkhoff_phi(GridKernel(L))
     ok = abs(phi - math.exp(-4.0)) <= 1e-9
     rng = _rng()
     for _ in range(100):
         m, p = int(rng.integers(2, 16)), int(rng.integers(2, 16))
         Lr = rng.normal(size=(m, p))
-        K = GridKernel(Lr, np.arange(float(m)), np.sort(rng.uniform(0, 1, p)))
+        K = GridKernel(Lr)
         C = (
             Lr[:, None, :, None]
             + Lr[None, :, None, :]

@@ -398,10 +398,11 @@ MU2, NU2 = S((0.5, 0.5)), S((0.25, 0.75))
     (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=0.0, q=math.inf), "q must be finite"),
     (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=math.inf, q=1.0), "x0 must be finite"),
     (lambda: moment_gap_bound([0, 1], MU2, NU2, x0=math.nan, q=1.0), "x0 must be finite"),
-    (lambda: moment_gap_bound([0, math.inf], MU2, NU2, x0=0.0, q=1.0), "points must be finite"),
+    (lambda: moment_gap_bound([0, math.inf], MU2, NU2, x0=0.0, q=1.0),
+     "point at index 1 is not finite: inf"),
     (lambda: w1_bound_from_h([0, 1], MU2, NU2, x0=math.nan), "x0 must be finite"),
-    (lambda: w1_bound_from_h([-math.inf, 1], MU2, NU2, x0=0.0), "points must be finite"),
-    (lambda: w1_exact_1d([0, math.nan], MU2, NU2), "points must be finite"),
+    (lambda: w1_bound_from_h([-math.inf, 1], MU2, NU2, x0=0.0), "point at index 0 is not finite"),
+    (lambda: w1_exact_1d([0, math.nan], MU2, NU2), "point at index 1 is not finite: nan"),
 ], ids=["q<0", "q=nan", "q=inf", "x0=inf", "x0=nan", "moment-point=inf", "w1-x0=nan",
         "w1-point=-inf", "exact-point=nan"])
 def test_non_finite_bound_inputs_are_validation_errors(call, message):

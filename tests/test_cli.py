@@ -83,12 +83,12 @@ class TestParseInput:
             "kernel_grid",
         )
         assert type(doc) is GridKernel
-        assert doc.a_grid.tolist() == [0, 1]
+        assert doc.log_values.tolist() == [[0.0, -1.0], [-1.0, 0.0]]
 
     def test_kernel_grid_bare_matrix(self):
         doc = parse_input("[[0, -1], [-1, 0]]", "kernel_grid")
-        assert doc.a_grid.tolist() == [0.0, 1.0]
-        assert doc.x_grid.tolist() == [0.0, 1.0]
+        assert type(doc) is GridKernel
+        assert doc.log_values.tolist() == [[0.0, -1.0], [-1.0, 0.0]]
 
     def test_kernel_grid_missing_key(self):
         with pytest.raises(ValidationError, match="missing key"):
@@ -108,7 +108,9 @@ class TestParseInput:
         ("[[1, 2], [3, NaN]]", "matrix", r"\(1, 1\) is not finite"),
         ("[[1, 2], [-3, 4]]", "matrix", r"\(1, 0\) is negative"),
         ('{"log_values": [[0, 0], [0, 0]], "a_grid": [0, Infinity], "x_grid": [0, 1]}',
-         "kernel_grid", "a_grid must be finite"),
+         "kernel_grid", "a_grid point at index 1 is not finite: inf"),
+        ('{"log_values": [[0, Infinity], [0, 0]], "a_grid": [0, 1], "x_grid": [0, 1]}',
+         "kernel_grid", r"log kernel value at \(0, 1\) is not finite: inf"),
     ])
     def test_values_are_checked_by_the_library_type(self, doc, kind, match):
         with pytest.raises(ValidationError, match=match):
@@ -549,7 +551,7 @@ class TestCleanErrors:
 
 
     @pytest.mark.parametrize("radius, message", [
-        ("inf", "theta coordinates must be finite"),
+        ("inf", "theta coordinate at index 0 is not finite: inf"),
         ("1e308", "coordinate spread 1e+308 underflows a softmax weight to 0"),
         ("800", "coordinate spread 800 underflows a softmax weight to 0"),
         ("730", "vertex misses the sphere by 7.2e-07"),
@@ -652,6 +654,47 @@ class TestInfiniteOutput:
         ]
         expected = "[\n" + ",\n".join(_report_text(*r) for r in reports) + "\n]\n"
         assert run(["bounds", a, b]) == (0, expected)
+
+
+class TestKernelGridDocument:
+    """The CLI checks a kernel document's grids itself: GridKernel holds only log values."""
+
+    LV = [[0.0, -1.0, -2.0], [-1.0, 0.0, -1.0]]  # 2 rows (a_grid), 3 columns (x_grid)
+    OUT = '{\n  "phi": 0.1353352832366127,\n  "tau": 0.46211715726000974\n}\n'
+
+    @pytest.mark.parametrize("a_grid, x_grid, message", [
+        ([0, 1, 2], [0, 1, 2], "3 a_grid points for a log_values axis of length 2"),
+        ([0, 1], [0, 1], "2 x_grid points for a log_values axis of length 3"),
+        ([1, 1], [0, 1, 2],
+         "a_grid points must be strictly increasing: index 1 holds 1.0 after 1.0"),
+        ([0, 1], [0, 2, 1],
+         "x_grid points must be strictly increasing: index 2 holds 1.0 after 2.0"),
+        ([0, math.nan], [0, 1, 2], "a_grid point at index 1 is not finite: nan"),
+        ([0, 1], [math.inf, 0, -math.inf], "x_grid point at index 0 is not finite: inf"),
+    ], ids=["a-length", "x-length", "a-repeated", "x-decreasing", "a-nan", "x-infinity"])
+    def test_bad_grid_is_refused(self, tmp_path, capsys, a_grid, x_grid, message):
+        doc = json.dumps({"log_values": self.LV, "a_grid": a_grid, "x_grid": x_grid})
+        assert run(["tau-kernel", write(tmp_path, "g.json", doc)]) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_log_value_is_named_before_a_bad_grid(self, tmp_path, capsys):
+        doc = json.dumps({"log_values": [[0.0, math.inf], [0.0, 0.0]], "a_grid": [1, 0],
+                          "x_grid": [0, 1]})
+        assert run(["tau-kernel", write(tmp_path, "g.json", doc)]) == (1, "")
+        assert capsys.readouterr().err == "error: log kernel value at (0, 1) is not finite: inf\n"
+
+    def test_grids_do_not_change_the_output(self, tmp_path, capsys):
+        bare = write(tmp_path, "m.json", json.dumps(self.LV))
+        doc = json.dumps({"log_values": self.LV, "a_grid": [-5, 1e308], "x_grid": [0, 1, 9]})
+        assert run(["tau-kernel", bare]) == (0, self.OUT)
+        assert run(["tau-kernel", write(tmp_path, "g.json", doc)]) == (0, self.OUT)
+        assert capsys.readouterr().err == ""
+
+    def test_cli_builds_no_grid(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "numpy" not in imported
 
 
 def test_cli_calls_only_public_library_names():

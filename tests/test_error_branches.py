@@ -1,5 +1,6 @@
 """One error branch of each library type or entry point, with its type and message."""
 
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from hilbertcone import (
     GridKernel,
     LogDensityVector,
     NonnegMatrix,
+    PositiveVector,
     SimplexPoint,
     ThetaVector,
     ValidationError,
@@ -20,6 +22,7 @@ from hilbertcone import (
     render_svg,
     theta_chart,
     verify_contraction,
+    w1_exact_1d,
 )
 from hilbertcone.cli import parse_input
 
@@ -37,7 +40,7 @@ CASES = {
                            ValidationError, "unknown input kind 'tensor'"),
     "0x0 matrix": (lambda: NonnegMatrix(np.zeros((0, 0))),
                    DimensionError, "matrix must be at least 1x1"),
-    "1-D kernel": (lambda: GridKernel(np.zeros(3), np.arange(3.0), np.arange(3.0)),
+    "1-D kernel": (lambda: GridKernel(np.zeros(3)),
                    DimensionError, "log_values must be a 2-D array"),
     "no trials": (lambda: verify_contraction(CHAIN, 0, 0),
                   ValidationError, "trials must be >= 1"),
@@ -51,9 +54,9 @@ CASES = {
     "one log-density entry": (lambda: LogDensityVector((0.0,)),
                               ValidationError, "log-density vector needs at least 2 entries"),
     "chart index past n": (lambda: ThetaVector(3, (0.0, 0.0)),
-                           ValidationError, "chart index 3 out of range for n=2"),
+                           ValidationError, "chart index 3 out of range 0..2"),
     "negative chart index": (lambda: ThetaVector(-1, (0.0, 0.0)),
-                             ValidationError, "chart index -1 out of range for n=2"),
+                             ValidationError, "chart index -1 out of range 0..2"),
     "non-integer chart index": (lambda: ThetaVector(0.5, (1.0, 2.0)),
                                 ValidationError, "chart index must be an integer, got 0.5"),
     "float chart index in theta_chart": (lambda: theta_chart(U2, 1.0), ValidationError,
@@ -79,3 +82,49 @@ def test_error_type_and_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is error
+
+
+INF, NAN = math.inf, math.nan
+U3 = SimplexPoint((0.25, 0.25, 0.5))
+S4 = SimplexPoint((0.25,) * 4)
+
+# Each input holds two bad entries; the refusal names the first (a non-finite entry
+# before a negative one).
+FIRST_BAD_ENTRY = {
+    "weight not finite": (lambda: PositiveVector((1.0, INF, 2.0, NAN)),
+                          "weight at index 1 is not finite: inf"),
+    "weight negative": (lambda: PositiveVector((1.0, -1.0, 2.0, -3.0)),
+                        "weight at index 1 is negative: -1.0"),
+    "weight negative, then not finite": (lambda: PositiveVector((-1.0, 1.0, -INF)),
+                                         "weight at index 2 is not finite: -inf"),
+    "simplex weight": (lambda: SimplexPoint((0.5, NAN, 0.5, INF)),
+                       "weight at index 1 is not finite: nan"),
+    "log-density entry": (lambda: LogDensityVector((0.0, -INF, 1.0, INF)),
+                          "log-density entry at index 1 is not finite: -inf"),
+    "matrix entry not finite": (
+        lambda: NonnegMatrix([[1.0, 1.0, NAN], [1.0, 1.0, 1.0], [INF, 1.0, 1.0]]),
+        "entry at (0, 2) is not finite: nan"),
+    "matrix entry negative": (
+        lambda: NonnegMatrix([[1.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -3.0]]),
+        "entry at (1, 1) is negative: -2.0"),
+    "log kernel value": (lambda: GridKernel([[0.0, 0.0, 0.0], [0.0, 0.0, INF], [-INF, 0.0, 0.0]]),
+                         "log kernel value at (1, 2) is not finite: inf"),
+    "theta coordinate": (lambda: ThetaVector(0, (0.0, NAN, INF)),
+                         "theta coordinate at index 1 is not finite: nan"),
+    "support point not finite": (lambda: w1_exact_1d([0.0, INF, 2.0, NAN], S4, S4),
+                                 "support point at index 1 is not finite: inf"),
+    "support points not increasing": (
+        lambda: w1_exact_1d([0.0, 2.0, 1.0, 0.5], S4, S4),
+        "support points must be strictly increasing: index 2 holds 1.0 after 2.0"),
+    "chart index of a theta vector": (lambda: ThetaVector(3, (0.0, 0.0)),
+                                      "chart index 3 out of range 0..2"),
+    "chart index of theta_chart": (lambda: theta_chart(U3, 3), "chart index 3 out of range 0..2"),
+    "negative chart index of theta_chart": (lambda: theta_chart(U3, -1),
+                                            "chart index -1 out of range 0..2"),
+}
+
+
+@pytest.mark.parametrize("call, message", FIRST_BAD_ENTRY.values(), ids=FIRST_BAD_ENTRY.keys())
+def test_refusal_names_the_first_bad_entry(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

@@ -146,7 +146,7 @@ class TestBallVertices:
             ball_vertices(UNIFORM3, 800.0)
 
     @pytest.mark.parametrize("radius, error, message", [
-        (math.inf, ValidationError, "theta coordinates must be finite"),
+        (math.inf, ValidationError, "theta coordinate at index 0 is not finite: inf"),
         (1e308, CoordinateRangeError, "coordinate spread 1e+308 underflows a softmax weight to 0"),
         (800.0, CoordinateRangeError, "coordinate spread 800 underflows a softmax weight to 0"),
         (730.0, CoordinateRangeError, "vertex misses the sphere by 7.2e-07"),

@@ -22,8 +22,12 @@ on the unit masses (bounds), reaches its log-space branch.  Most s = 700 pairs
 the CLI's refusal of such a vector.  About 2% of the tau-kernel documents are a
 checkerboard of +-8e307: every difference of two log values is finite, but the
 diameter, 3.2e308, is past float range.  About 2% more are grid objects whose
-a_grid steps from -1.7e308 to 1e308..1.7e308, a step past float range, and about
-2% of the markov chains have a row of 1e308s, whose sum is past float range.
+a_grid steps from -1.7e308 to 1e308..1.7e308, a step past float range, and 2%
+more are grid objects that the CLI refuses: one grid has a point too many, is
+not increasing, or holds inf, -inf or nan, or one log value is inf.  About 2%
+of the markov chains have a row of 1e308s, whose sum is past float range.
+About 3% of all documents are malformed, one of ``MALFORMED``; among them is a
+vector with a negative weight.
 About 2% of the ball and tile centers have one weight from 5e-324, 1e-320 and
 2e-310, at the bottom of float range, which can underflow to 0 at unit mass.
 About 90% of the verify ops at n >= 40, and 10% of the others, draw --trials in
@@ -67,7 +71,7 @@ json.dump(res, sys.stdout)
 COMMANDS = "dist bounds tau tau-kernel verify markov ball ball tile tile".split()
 RADII = "1e-300 1e-05 0.1 0.5 1 3 12345.678 720 730 800 1e308 inf nan 0 -1".split()
 TINY = [5e-324, 1e-320, 2e-310]  # a center weight that can underflow at unit mass
-MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", "[]", "{}", "1,x", "[true, 1]", "nan"]
+MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", "[]", "{}", "1,x", "[true, 1]", "nan", "[1, -1, 2]"]
 PARTS = ("exit code", "stderr", "stdout", "SVG")  # the fields of one RUNNER result
 SHOWN = 3  # differing ops printed per subcommand
 LARGE = {"tau": (40, 160), "verify": (40, 160), "tau-kernel": (40, 160), "markov": (40, 160),
@@ -112,6 +116,18 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
         if u < 0.04:  # an a_grid step past float range
             return {"log_values": lv, "a_grid": [-1.7e308, *np.linspace(1e308, 1.7e308, n - 1)],
                     "x_grid": list(range(n + 1))}
+        if u < 0.06:  # a document the CLI refuses: one flawed grid, or an infinite log value
+            grids = [list(range(n)), list(range(n + 1))]
+            g, flaw = grids[rng.integers(2)], rng.integers(4)
+            if flaw == 0:  # one point too many
+                g.append(len(g))
+            elif flaw == 1:  # not increasing at the last point
+                g[-1] = 0
+            elif flaw == 2:
+                g[rng.integers(len(g))] = float(rng.choice([np.inf, -np.inf, np.nan]))
+            else:
+                lv[rng.integers(n)][rng.integers(n + 1)] = np.inf
+            return {"log_values": lv, "a_grid": grids[0], "x_grid": grids[1]}
         return lv
 
     def center(n: int) -> list[float]:  # 2% with one weight at the bottom of float range
