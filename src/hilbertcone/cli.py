@@ -20,6 +20,7 @@ import math
 import os
 import reprlib
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import bounds as bnd
 from . import contraction as ctr
@@ -30,6 +31,9 @@ from .errors import DomainError, HilbertConeError, ValidationError
 __all__ = ["parse_input", "run_command", "main"]
 
 KINDS = ("vector", "matrix", "kernel_grid")
+# Integers too large for a float become inf, which the library rejects.  Built once: json.loads
+# with a keyword builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def _number_rows(rows) -> list[list[float]]:
@@ -56,7 +60,7 @@ def _parse_csv(text: str) -> list[list[float]]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            rows.append([float(cell) for cell in stripped.split(",")])
+            rows.append(list(map(float, stripped.split(","))))
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
     if not rows:
@@ -71,8 +75,7 @@ def parse_input(text: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr
     stripped = text.lstrip()
     if stripped.startswith(("[", "{")):
         try:
-            # Integers too large for a float become inf, which the library rejects.
-            data = json.loads(text, parse_int=float)
+            data = _DECODER.decode(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(
                 f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -118,12 +121,33 @@ def _measure(x: PositiveVector, arg: str) -> SimplexPoint:
     return mu
 
 
+def _scalar(v) -> str:
+    """``json.dumps(v)`` for a str, bool, None, int or float, except inf: the string "inf"."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return '"inf"' if v > 0 else "-Infinity" if v < 0 else "NaN"
+    # bool is a subclass of int, so True and False are spelled before int.__repr__ is reached
+    return ("null" if v is None else "true" if v is True else "false" if v is False
+            else int.__repr__(v))
+
+
+def _dict_text(d: dict, pad: str) -> str:
+    """``json.dumps(d, indent=2)`` for a non-empty flat dict with str keys, indented by ``pad``."""
+    p = pad + "  "
+    return (f"{pad}{{\n" + ",\n".join([f"{p}{encode_basestring_ascii(k)}: {_scalar(v)}"
+                                        for k, v in d.items()]) + f"\n{pad}}}")
+
+
 def _emit_json(obj, out) -> None:
-    """Write a flat dict, or a list of them, as indented JSON with inf as the string "inf"."""
-    rows = [{k: "inf" if v == math.inf else v for k, v in r.items()}
-            for r in (obj if isinstance(obj, list) else [obj])]
-    json.dump(rows if isinstance(obj, list) else rows[0], out, indent=2)
-    out.write("\n")
+    """Write a non-empty flat dict, or a non-empty list of them, as ``json.dump(obj, out,
+    indent=2)`` does, with inf as the string "inf" (see README)."""
+    if isinstance(obj, list):
+        out.write("[\n" + ",\n".join([_dict_text(d, "  ") for d in obj]) + "\n]\n")
+    else:
+        out.write(_dict_text(obj, "") + "\n")
 
 
 def _cmd_dist(args, out) -> int:
@@ -242,7 +266,8 @@ def _cmd_verify(args, out) -> int:
 
 
 @functools.cache  # built once per process: the environment is read per call, not here
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="hilbertcone",
         description="Hilbert projective metric, Birkhoff coefficients, and simplex geometry.",
@@ -291,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def run_command(argv: list[str], out=None) -> int:
@@ -303,9 +328,16 @@ def run_command(argv: list[str], out=None) -> int:
     except ValueError:
         print(f"error: HILBERT_CONE_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
         return 2
+    parser, commands = _build_parser()
+    # env_seed is no parser option, so the subcommand's defaults leave it in place.
+    args = argparse.Namespace(env_seed=default_seed)
     try:
-        # env_seed is no parser option, so the subcommand's defaults leave it in place.
-        args = _build_parser().parse_args(argv, argparse.Namespace(env_seed=default_seed))
+        # The full parser hands a subcommand the rest of argv; parsing it directly costs about
+        # half as much.  Help, an unknown or missing command and a leftover argument go to the full
+        # parser, which writes every message: a leftover is its error, with its usage line.
+        sub = commands.get(argv[0]) if argv else None
+        if sub is None or sub.parse_known_args(argv[1:], args)[1]:
+            args = parser.parse_args(argv, argparse.Namespace(env_seed=default_seed))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -34,6 +34,7 @@ from .core import (
     SimplexPoint,
     _check_entries,
     _hilbert_weights,
+    _not_numbers,
     _t,
     _tv,
     _unit_mass,
@@ -75,15 +76,19 @@ class NonnegMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
+        try:
+            a = np.array(self.entries, dtype=float)
+        except (TypeError, ValueError):
+            raise _not_numbers(self.entries, "entry") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionError("matrix must be at least 1x1")
         _check_entries(a, "entry", nonneg=True)
         # Tested with any, not sum: a sum of finite entries can overflow to inf.
+        positive = a > 0
         for axis, line in ((1, "row"), (0, "column")):
-            if not (a > 0).any(axis=axis).all():
+            if not positive.any(axis=axis).all():
                 raise ValidationError(f"matrix is not allowable: a {line} is identically zero")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -104,7 +109,7 @@ class NonnegMatrix:
 
 
 def _as_matrix(a) -> NonnegMatrix:
-    return a if isinstance(a, NonnegMatrix) else NonnegMatrix(np.asarray(a, dtype=float))
+    return a if isinstance(a, NonnegMatrix) else NonnegMatrix(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +124,10 @@ class GridKernel:
     log_values: np.ndarray
 
     def __post_init__(self) -> None:
-        lv = np.array(self.log_values, dtype=float)
+        try:
+            lv = np.array(self.log_values, dtype=float)
+        except (TypeError, ValueError):
+            raise _not_numbers(self.log_values, "log kernel value") from None
         if lv.ndim != 2:
             raise DimensionError("log_values must be a 2-D array")
         if min(lv.shape) < 2:

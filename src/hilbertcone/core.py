@@ -14,6 +14,7 @@ which keeps the metric usable for weights up to ``e**700`` in either direction.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -58,9 +59,38 @@ def _check_entries(values, noun: str, nonneg: bool = False) -> None:
             raise ValidationError(f"{noun} at {where} is {what}: {float(a[at])!r}")
 
 
+def _not_numbers(values, noun: str) -> ValidationError:
+    """The refusal of ``values`` that float() or numpy failed to convert: the first row whose
+    length is not row 0's, else the first entry that is not a number, named as
+    :func:`_check_entries` names it.  Callers convert first and call this only on failure, so
+    their success path stays one conversion."""
+    try:
+        rows = list(values)
+    except TypeError:
+        return ValidationError(f"expected a sequence of numbers, got {reprlib.repr(values)}")
+    if rows and all(isinstance(r, (list, tuple)) or getattr(r, "ndim", 0) == 1 for r in rows):
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                return ValidationError(f"ragged array: row {i} has {len(row)} entries, "
+                                       f"expected {len(rows[0])}")
+        entries = [((i, j), v) for i, row in enumerate(rows) for j, v in enumerate(row)]
+    else:
+        entries = [((i,), v) for i, v in enumerate(rows)]
+    for at, v in entries:
+        try:
+            float(v)
+        except (TypeError, ValueError):
+            where = f"index {at[0]}" if len(at) == 1 else str(at)
+            return ValidationError(f"{noun} at {where} is not a number: {reprlib.repr(v)}")
+    return ValidationError(f"expected an array of numbers, got {reprlib.repr(values)}")
+
+
 def _check_points(points, n: int, noun: str, of: str) -> np.ndarray:
     """``points`` as a float array, refused unless they are n finite, strictly increasing values."""
-    xs = np.array(list(map(float, points)))
+    try:
+        xs = np.array(list(map(float, points)))
+    except (TypeError, ValueError):
+        raise _not_numbers(points, noun) from None
     if len(xs) != n:
         raise DimensionError(f"{len(xs)} {noun}s for {of} of length {n}")
     _check_entries(xs, noun)
@@ -83,7 +113,10 @@ class PositiveVector:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(map(float, self.weights))
+        try:
+            ws = tuple(map(float, self.weights))
+        except (TypeError, ValueError):
+            raise _not_numbers(self.weights, "weight") from None
         if len(ws) < 2:
             raise ValidationError("vector needs at least 2 components")
         _check_entries(ws, "weight", nonneg=True)
@@ -126,7 +159,10 @@ class LogDensityVector:
     entries: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        es = tuple(map(float, self.entries))
+        try:
+            es = tuple(map(float, self.entries))
+        except (TypeError, ValueError):
+            raise _not_numbers(self.entries, "log-density entry") from None
         if len(es) < 2:
             raise ValidationError("log-density vector needs at least 2 entries")
         _check_entries(es, "log-density entry")

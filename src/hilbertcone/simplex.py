@@ -22,7 +22,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import SimplexPoint, _check_entries, _check_lengths, osc
+from .core import SimplexPoint, _check_entries, _check_lengths, _not_numbers, osc
 from .errors import (
     CoordinateRangeError,
     DimensionError,
@@ -80,7 +80,10 @@ class ThetaVector:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(map(float, self.coords))
+        try:
+            cs = tuple(map(float, self.coords))
+        except (TypeError, ValueError):
+            raise _not_numbers(self.coords, "theta coordinate") from None
         _check_chart_index(self.chart_index, len(cs))
         _check_entries(cs, "theta coordinate")
         object.__setattr__(self, "coords", cs)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import io
@@ -27,6 +28,7 @@ from hilbertcone import (
 )
 from hilbertcone import bounds, cli, contraction, simplex
 from hilbertcone.cli import _write_ball, parse_input, run_command
+from hilbertcone.errors import HilbertConeError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -607,6 +609,52 @@ def test_tile_writer_matches_json_dump(weights, radius, shells):
     assert code == 0
     balls = tile(normalize(PositiveVector(tuple(weights))), float(radius), shells)
     assert out == json.dumps([_ball_dict(b) for b in balls], indent=2) + "\n"
+
+
+_strings = st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9", "\u2028", "\U0001f600"]) | st.text()
+_scalars = (st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, -math.inf, math.nan])
+            | st.booleans() | st.integers() | st.none() | _strings)
+_flat_dicts = st.dictionaries(_strings, _scalars, min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_flat_dicts | st.lists(_flat_dicts, min_size=1, max_size=4))
+def test_report_writer_matches_json_dump(obj):
+    buf = io.StringIO()
+    cli._emit_json(obj, buf)
+    rows = [{k: "inf" if v == math.inf else v for k, v in r.items()}
+            for r in (obj if isinstance(obj, list) else [obj])]
+    assert buf.getvalue() == json.dumps(rows if isinstance(obj, list) else rows[0], indent=2) + "\n"
+
+
+def _run_full_parse(argv):
+    """The CLI with every argv through the full parser: the oracle for run_command's dispatch."""
+    buf = io.StringIO()
+    try:
+        args = cli._build_parser()[0].parse_args(argv, argparse.Namespace(env_seed=0))
+        code = args.func(args, buf)
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    except (HilbertConeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    "", "-h", "nope",
+    "dist", "dist -h", "dist a",
+    "dist a b extra", "verify m --bogus", "verify m --trials x",  # leftovers, then a bad value
+    "tile c 0.5 1", "-- dist a b", "dist -- a b", "ball c -1",
+])
+def test_dispatch_matches_the_full_parser(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HILBERT_CONE_SEED", raising=False)
+    for name, text in (("a", "[1, 2, 3]"), ("b", "[3, 2, 1]"), ("c", "[1, 1, 1]"),
+                       ("m", "[[1, 2], [3, 4]]")):
+        write(tmp_path, name, text)
+    expected = (*_run_full_parse(argv.split()), capsys.readouterr())
+    assert (*run(argv.split()), capsys.readouterr()) == expected
 
 
 def _report_text(lhs_name, rhs_name, lhs, rhs, slack, applicable):

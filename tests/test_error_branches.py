@@ -18,6 +18,7 @@ from hilbertcone import (
     ValidationError,
     View,
     ball_vertices,
+    birkhoff_phi,
     markov_converge,
     render_svg,
     theta_chart,
@@ -126,5 +127,35 @@ FIRST_BAD_ENTRY = {
 
 @pytest.mark.parametrize("call, message", FIRST_BAD_ENTRY.values(), ids=FIRST_BAD_ENTRY.keys())
 def test_refusal_names_the_first_bad_entry(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# Each input holds two entries that are not numbers (or two ragged rows); the refusal names
+# the first, in the form above, where float() or numpy failed to convert the input.
+NOT_A_NUMBER = {
+    "weight": (lambda: PositiveVector((1.0, "a", None)), "weight at index 1 is not a number: 'a'"),
+    "weights not a sequence": (lambda: PositiveVector(5), "expected a sequence of numbers, got 5"),
+    "log-density entry": (lambda: LogDensityVector((None, 1.0, "b")),
+                          "log-density entry at index 0 is not a number: None"),
+    "theta coordinate": (lambda: ThetaVector(0, ("a", "b")),
+                         "theta coordinate at index 0 is not a number: 'a'"),
+    "matrix entry": (lambda: NonnegMatrix([[1.0, 1.0], ["x", "y"]]),
+                     "entry at (1, 0) is not a number: 'x'"),
+    "ragged matrix": (lambda: NonnegMatrix([[1.0, 2.0], [3.0], [4.0]]),
+                      "ragged array: row 1 has 1 entries, expected 2"),
+    "ragged matrix through birkhoff_phi": (lambda: birkhoff_phi([[1.0, 2.0], [3.0], [4.0]]),
+                                           "ragged array: row 1 has 1 entries, expected 2"),
+    "log kernel value": (lambda: GridKernel([["a", "b"], ["c", "d"]]),
+                         "log kernel value at (0, 0) is not a number: 'a'"),
+    "ragged kernel": (lambda: GridKernel([[1.0, 2.0], [3.0, 4.0, 5.0], [6.0]]),
+                      "ragged array: row 1 has 3 entries, expected 2"),
+    "support point": (lambda: w1_exact_1d([0.0, "a", 2.0, None], S4, S4),
+                      "support point at index 1 is not a number: 'a'"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+def test_refusal_names_the_first_entry_that_is_not_a_number(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -18,7 +18,7 @@ draw alike) draw both vectors with full support and weights exp(uniform(-s, s)),
 s = 350 or 700, instead of lognormal(0, 2) ones with 20% zeros.  At s = 350 the
 unit mass keeps every weight above e^-700, and H, on the raw vectors (dist) and
 on the unit masses (bounds), reaches its log-space branch.  Most s = 700 pairs
-(34 of 38 at seeds 5 and 6) lose a weight to underflow at unit mass, and end at
+(32 of 41 at seeds 5 and 6) lose a weight to underflow at unit mass, and end at
 the CLI's refusal of such a vector.  About 2% of the tau-kernel documents are a
 checkerboard of +-8e307: every difference of two log values is finite, but the
 diameter, 3.2e308, is past float range.  About 2% more are grid objects whose
@@ -32,8 +32,12 @@ About 2% of the ball and tile centers have one weight from 5e-324, 1e-320 and
 2e-310, at the bottom of float range, which can underflow to 0 at unit mass.
 About 90% of the verify ops at n >= 40, and 10% of the others, draw --trials in
 200..5,000 instead of 20, so that at n >= 40 the trials mostly run in several
-blocks (11 and 17 ops of 4,000 at seeds 5 and 6).  Warnings are shown each time
-they are raised, as they would be in a process of their own.
+blocks (12 and 7 ops of 4,000 at seeds 5 and 6).  About 1% of all ops are
+usage errors, which exit 2: a leftover positional, an unknown option, a --trials
+that is not an integer, or the subcommand alone with its positionals missing.
+There is no -h among them, because help goes to the process's real stdout.
+Warnings are shown each time they are raised, as they would be in a process of
+their own.
 """
 
 import collections
@@ -74,6 +78,8 @@ TINY = [5e-324, 1e-320, 2e-310]  # a center weight that can underflow at unit ma
 MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", "[]", "{}", "1,x", "[true, 1]", "nan", "[1, -1, 2]"]
 PARTS = ("exit code", "stderr", "stdout", "SVG")  # the fields of one RUNNER result
 SHOWN = 3  # differing ops printed per subcommand
+USAGE_ERRORS = (lambda a: [*a, "extra"], lambda a: [*a, "--bogus"],
+                lambda a: [*a, "--trials", "x"], lambda a: a[:1])
 LARGE = {"tau": (40, 160), "verify": (40, 160), "tau-kernel": (40, 160), "markov": (40, 160),
          "dist": (1000, 10000), "bounds": (1000, 10000)}
 
@@ -160,7 +166,10 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
     for cmd in rng.choice(COMMANDS, count).tolist():
         large = cmd in LARGE and rng.random() < 0.05
         lo, hi = LARGE[cmd] if large else (2, 7)
-        ops.append(([cmd, *map(str, args[cmd](int(rng.integers(lo, hi + 1))))], large))
+        argv = [cmd, *map(str, args[cmd](int(rng.integers(lo, hi + 1))))]
+        if rng.random() < 0.01:
+            argv = USAGE_ERRORS[rng.integers(len(USAGE_ERRORS))](argv)
+        ops.append((argv, large))
     return ops
 
 
