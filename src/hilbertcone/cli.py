@@ -1,14 +1,15 @@
 """Command-line frontend: distances, contraction coefficients, balls, tilings.
 
 Inputs are flat files, JSON (array or array-of-arrays, object for kernel
-grids) or CSV with '#'-prefixed header lines.  The CLI checks a document's
-shape, its kernel grids (in the library's message form) and that no weight
-is lost at unit mass; the library type built from it checks the values.  All
-floating-point output is serialized with ``repr`` (shortest round-trip),
-infinite distances as the JSON string "inf", so reruns with identical
-arguments and seed are byte-identical (``verify``: at a fixed BLAS thread
-count).  The seed, an integer >= 0, defaults to 0 and can be overridden by
-the ``HILBERT_CONE_SEED`` environment variable or ``--seed``.
+grids) or CSV with '#'-prefixed header lines.  The CLI checks that a document
+is a non-empty array of arrays of numbers (float() would take a bool or a
+numeric string), its kernel grids (in the library's message form) and that no
+weight is lost at unit mass; the library type built from it names a ragged row
+and checks the values.  All floating-point output is serialized with ``repr``
+(shortest round-trip), infinite distances as the JSON string "inf", so reruns
+with identical arguments and seed are byte-identical (``verify``: at a fixed
+BLAS thread count).  The seed, an integer >= 0, defaults to 0 and can be
+overridden by the ``HILBERT_CONE_SEED`` environment variable or ``--seed``.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ _DECODER = json.JSONDecoder(parse_int=float)
 
 
 def _number_rows(rows) -> list[list[float]]:
-    """``rows``, checked to be a non-empty rectangular array of (JSON or CSV) numbers."""
+    """``rows``, checked to be a non-empty array of arrays (maybe ragged) of JSON or CSV numbers."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError("expected a non-empty array of arrays of numbers")
-    width = len(rows[0])
     for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValidationError(f"ragged array: row {i} has {len(row)} entries, expected {width}")
         if not set(map(type, row)) <= {float}:  # checked in bulk; the loop names the entry
             for j, v in enumerate(row):
                 if not isinstance(v, float):  # numpy would coerce a bool or a numeric string
@@ -92,7 +90,7 @@ def parse_input(text: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr
             if len(data) != 1:
                 raise ValidationError("expected a single row for a vector input")
             data = data[0]
-        return PositiveVector(tuple(_number_rows([data])[0]))
+        return PositiveVector(_number_rows([data])[0])
     if not isinstance(data, dict):  # a bare matrix of log values
         return ctr.GridKernel(_number_rows(data))
     try:

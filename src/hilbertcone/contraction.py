@@ -33,8 +33,8 @@ from .core import (
     PositiveVector,
     SimplexPoint,
     _check_entries,
+    _floats,
     _hilbert_weights,
-    _not_numbers,
     _t,
     _tv,
     _unit_mass,
@@ -76,10 +76,7 @@ class NonnegMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            a = np.array(self.entries, dtype=float)
-        except (TypeError, ValueError):
-            raise _not_numbers(self.entries, "entry") from None
+        a = _floats(self.entries, "entry", array=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
@@ -124,10 +121,7 @@ class GridKernel:
     log_values: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            lv = np.array(self.log_values, dtype=float)
-        except (TypeError, ValueError):
-            raise _not_numbers(self.log_values, "log kernel value") from None
+        lv = _floats(self.log_values, "log kernel value", array=True)
         if lv.ndim != 2:
             raise DimensionError("log_values must be a 2-D array")
         if min(lv.shape) < 2:

@@ -60,13 +60,14 @@ def _check_entries(values, noun: str, nonneg: bool = False) -> None:
 
 
 def _not_numbers(values, noun: str) -> ValidationError:
-    """The refusal of ``values`` that float() or numpy failed to convert: the first row whose
-    length is not row 0's, else the first entry that is not a number, named as
-    :func:`_check_entries` names it.  Callers convert first and call this only on failure, so
-    their success path stays one conversion."""
+    """The refusal of ``values`` that :func:`_floats` or :func:`osc` failed to convert: a str or
+    bytes, else the first row whose length is not row 0's, else the first entry that is not a
+    number, named as :func:`_check_entries` names it."""
     try:
         rows = list(values)
     except TypeError:
+        rows = None
+    if rows is None or isinstance(values, (str, bytes, bytearray)):
         return ValidationError(f"expected a sequence of numbers, got {reprlib.repr(values)}")
     if rows and all(isinstance(r, (list, tuple)) or getattr(r, "ndim", 0) == 1 for r in rows):
         for i, row in enumerate(rows):
@@ -85,12 +86,20 @@ def _not_numbers(values, noun: str) -> ValidationError:
     return ValidationError(f"expected an array of numbers, got {reprlib.repr(values)}")
 
 
+def _floats(values, noun: str, array: bool = False) -> tuple[float, ...] | np.ndarray:
+    """``values`` as a tuple of floats, or as a new float array if ``array``; a str or bytes is
+    refused, not read as its characters.  A tuple, the common case, skips that (slower) test."""
+    if isinstance(values, tuple) or not isinstance(values, (str, bytes, bytearray)):
+        try:
+            return np.array(values, dtype=float) if array else tuple(map(float, values))
+        except (TypeError, ValueError):
+            pass
+    raise _not_numbers(values, noun)
+
+
 def _check_points(points, n: int, noun: str, of: str) -> np.ndarray:
     """``points`` as a float array, refused unless they are n finite, strictly increasing values."""
-    try:
-        xs = np.array(list(map(float, points)))
-    except (TypeError, ValueError):
-        raise _not_numbers(points, noun) from None
+    xs = np.array(_floats(points, noun))
     if len(xs) != n:
         raise DimensionError(f"{len(xs)} {noun}s for {of} of length {n}")
     _check_entries(xs, noun)
@@ -113,10 +122,7 @@ class PositiveVector:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            ws = tuple(map(float, self.weights))
-        except (TypeError, ValueError):
-            raise _not_numbers(self.weights, "weight") from None
+        ws = _floats(self.weights, "weight")
         if len(ws) < 2:
             raise ValidationError("vector needs at least 2 components")
         _check_entries(ws, "weight", nonneg=True)
@@ -159,10 +165,7 @@ class LogDensityVector:
     entries: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            es = tuple(map(float, self.entries))
-        except (TypeError, ValueError):
-            raise _not_numbers(self.entries, "log-density entry") from None
+        es = _floats(self.entries, "log-density entry")
         if len(es) < 2:
             raise ValidationError("log-density vector needs at least 2 entries")
         _check_entries(es, "log-density entry")
@@ -213,8 +216,14 @@ def beta(x: PositiveVector, y: PositiveVector) -> float:
 
 def osc(D) -> np.ndarray | float:
     """max - min over the last axis, batched over the others; H(x, y) = osc(log y - log x)."""
-    D = np.asarray(D, dtype=float)
-    return D.max(axis=-1) - D.min(axis=-1)
+    try:
+        D = np.asarray(D, dtype=float)
+    except (TypeError, ValueError):
+        raise _not_numbers(D, "entry") from None
+    try:
+        return D.max(axis=-1) - D.min(axis=-1)
+    except ValueError:  # no entry on the last axis, or no axis at all
+        raise ValidationError(f"expected an entry on the last axis, got shape {D.shape}") from None
 
 
 def _ratio_range(xw: Sequence[float], yw: Sequence[float]) -> tuple[float, float, bool]:

@@ -22,7 +22,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .core import SimplexPoint, _check_entries, _check_lengths, _not_numbers, osc
+from .core import SimplexPoint, _check_entries, _check_lengths, _floats, osc
 from .errors import (
     CoordinateRangeError,
     DimensionError,
@@ -80,10 +80,7 @@ class ThetaVector:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            cs = tuple(map(float, self.coords))
-        except (TypeError, ValueError):
-            raise _not_numbers(self.coords, "theta coordinate") from None
+        cs = _floats(self.coords, "theta coordinate")
         _check_chart_index(self.chart_index, len(cs))
         _check_entries(cs, "theta coordinate")
         object.__setattr__(self, "coords", cs)

@@ -270,6 +270,14 @@ class TestCleanErrors:
         assert run(["tau", m]) == (1, "")
         assert single_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["tau", "tau-kernel", "markov"])
+    def test_ragged_rows_named(self, tmp_path, capsys, command):
+        argv = [command, write(tmp_path, "m.json", "[[1, 2], [3]]")]
+        if command == "markov":
+            argv += [write(tmp_path, "mu0.json", "[0.5, 0.5]"), "3"]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == "error: ragged array: row 1 has 1 entries, expected 2\n"
+
     def test_tau_kernel_on_single_row(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", "[[1, 2, 3]]")
         assert run(["tau-kernel", g]) == (1, "")

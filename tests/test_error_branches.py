@@ -20,6 +20,7 @@ from hilbertcone import (
     ball_vertices,
     birkhoff_phi,
     markov_converge,
+    osc,
     render_svg,
     theta_chart,
     verify_contraction,
@@ -132,7 +133,8 @@ def test_refusal_names_the_first_bad_entry(call, message):
 
 
 # Each input holds two entries that are not numbers (or two ragged rows); the refusal names
-# the first, in the form above, where float() or numpy failed to convert the input.
+# the first, in the form above, where float() or numpy failed to convert the input.  A str or
+# bytes is refused whole, not read as its characters, and osc refuses an empty last axis.
 NOT_A_NUMBER = {
     "weight": (lambda: PositiveVector((1.0, "a", None)), "weight at index 1 is not a number: 'a'"),
     "weights not a sequence": (lambda: PositiveVector(5), "expected a sequence of numbers, got 5"),
@@ -152,6 +154,29 @@ NOT_A_NUMBER = {
                       "ragged array: row 1 has 3 entries, expected 2"),
     "support point": (lambda: w1_exact_1d([0.0, "a", 2.0, None], S4, S4),
                       "support point at index 1 is not a number: 'a'"),
+    "weights as str": (lambda: PositiveVector("12"), "expected a sequence of numbers, got '12'"),
+    "weights as bytes": (lambda: PositiveVector(b"12"),
+                         "expected a sequence of numbers, got b'12'"),
+    "simplex weights as str": (lambda: SimplexPoint("1"),
+                               "expected a sequence of numbers, got '1'"),
+    "simplex weights as bytes": (lambda: SimplexPoint(b"1"),
+                                 "expected a sequence of numbers, got b'1'"),
+    "log-density entries as str": (lambda: LogDensityVector("123"),
+                                   "expected a sequence of numbers, got '123'"),
+    "log-density entries as bytes": (lambda: LogDensityVector(b"123"),
+                                     "expected a sequence of numbers, got b'123'"),
+    "theta coordinates as str": (lambda: ThetaVector(0, "12"),
+                                 "expected a sequence of numbers, got '12'"),
+    "theta coordinates as bytes": (lambda: ThetaVector(0, b"12"),
+                                   "expected a sequence of numbers, got b'12'"),
+    "support points as str": (lambda: w1_exact_1d("01", U2, U2),
+                              "expected a sequence of numbers, got '01'"),
+    "support points as bytes": (lambda: w1_exact_1d(b"01", U2, U2),
+                                "expected a sequence of numbers, got b'01'"),
+    "osc of a ragged list": (lambda: osc([[1.0, 2.0], [3.0], [4.0]]),
+                             "ragged array: row 1 has 1 entries, expected 2"),
+    "osc of non-numbers": (lambda: osc(["a", "b"]), "entry at index 0 is not a number: 'a'"),
+    "osc of nothing": (lambda: osc([]), "expected an entry on the last axis, got shape (0,)"),
 }
 
 

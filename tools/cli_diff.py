@@ -27,7 +27,8 @@ more are grid objects that the CLI refuses: one grid has a point too many, is
 not increasing, or holds inf, -inf or nan, or one log value is inf.  About 2%
 of the markov chains have a row of 1e308s, whose sum is past float range.
 About 3% of all documents are malformed, one of ``MALFORMED``; among them is a
-vector with a negative weight.
+vector with a negative weight, and a matrix with a short row and, in a later
+row, a string, which shows which of the two a change names first.
 About 2% of the ball and tile centers have one weight from 5e-324, 1e-320 and
 2e-310, at the bottom of float range, which can underflow to 0 at unit mass.
 About 90% of the verify ops at n >= 40, and 10% of the others, draw --trials in
@@ -75,7 +76,8 @@ json.dump(res, sys.stdout)
 COMMANDS = "dist bounds tau tau-kernel verify markov ball ball tile tile".split()
 RADII = "1e-300 1e-05 0.1 0.5 1 3 12345.678 720 730 800 1e308 inf nan 0 -1".split()
 TINY = [5e-324, 1e-320, 2e-310]  # a center weight that can underflow at unit mass
-MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", "[]", "{}", "1,x", "[true, 1]", "nan", "[1, -1, 2]"]
+MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", '[[1, 2], [3], ["a", 4]]', "[]", "{}", "1,x",
+             "[true, 1]", "nan", "[1, -1, 2]"]
 PARTS = ("exit code", "stderr", "stdout", "SVG")  # the fields of one RUNNER result
 SHOWN = 3  # differing ops printed per subcommand
 USAGE_ERRORS = (lambda a: [*a, "extra"], lambda a: [*a, "--bogus"],
