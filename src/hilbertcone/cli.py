@@ -21,6 +21,7 @@ import math
 import os
 import reprlib
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import bounds as bnd
@@ -41,13 +42,13 @@ def _number_rows(rows) -> list[list[float]]:
     """``rows``, checked to be a non-empty array of arrays (maybe ragged) of JSON or CSV numbers."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError("expected a non-empty array of arrays of numbers")
-    for i, row in enumerate(rows):
-        if not set(map(type, row)) <= {float}:  # checked in bulk; the loop names the entry
-            for j, v in enumerate(row):
-                if not isinstance(v, float):  # numpy would coerce a bool or a numeric string
-                    # reprlib bounds the echo of a long string or a deeply nested array
-                    raise ValidationError(f"entry at ({i}, {j}) is not a number: "
-                                          f"{reprlib.repr(v)}")
+    if set(map(type, chain.from_iterable(rows))) <= {float}:  # one test for the whole document
+        return rows
+    for i, row in enumerate(rows):  # only to name the entry
+        for j, v in enumerate(row):
+            if not isinstance(v, float):  # numpy would coerce a bool or a numeric string
+                # reprlib bounds the echo of a long string or a deeply nested array
+                raise ValidationError(f"entry at ({i}, {j}) is not a number: {reprlib.repr(v)}")
     return rows
 
 
@@ -105,9 +106,14 @@ def parse_input(text: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr
 
 
 def _load(path: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridKernel:
-    # A byte that is not UTF-8 fails as a non-number, or is ignored in a comment.
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return parse_input(fh.read(), kind)
+    # A byte that is not UTF-8 fails as a non-number, or is ignored in a comment.  One binary
+    # read is cheaper than a text-mode one; the newlines are then translated as text mode's
+    # universal newlines would, \r\n and a bare \r to \n.
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", "replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_input(text, kind)
 
 
 def _measure(x: PositiveVector, arg: str) -> SimplexPoint:

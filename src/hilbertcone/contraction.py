@@ -14,9 +14,15 @@ sorted by descending oscillation ``hi - lo``, and a pair is skipped only when
 the float bound ``fl(fl(hi_i - lo_j) - fl(lo_i - hi_j))``, which rounding
 cannot push below ``osc(L_i - L_j)``, is at most the best value so far, so the
 result is the unpruned maximum bit for bit.  A matrix small enough for one
-block (square n <= 40) skips the sort.  The zero conventions (0/0 -> 1,
+block (square n <= 40) skips the sort and the bounds: it takes every pair at
+once, with the differences laid out column-major so that max and min reduce
+over the first axis.  A matrix whose pass runs in several blocks runs it on
+``log A`` or ``log A.T``, whichever has the smaller exact sum of row
+oscillations, the narrower rows pruning more.  The zero conventions (0/0 -> 1,
 0/positive -> 0) are resolved before taking any logarithm: for an allowable
-matrix a single zero entry already forces phi = 0.
+matrix a single zero entry already forces phi = 0.  A valid matrix passes its
+checks in two reductions (``min > 0``, ``max < inf``) and a valid kernel in one
+span ``max - min``; only an input that fails them looks for the entry to name.
 """
 
 from __future__ import annotations
@@ -81,12 +87,15 @@ class NonnegMatrix:
             raise DimensionError(f"matrix must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionError("matrix must be at least 1x1")
-        _check_entries(a, "entry", nonneg=True)
-        # Tested with any, not sum: a sum of finite entries can overflow to inf.
-        positive = a > 0
-        for axis, line in ((1, "row"), (0, "column")):
-            if not positive.any(axis=axis).all():
-                raise ValidationError(f"matrix is not allowable: a {line} is identically zero")
+        # Every entry finite and positive passes at the cost of two reductions (a nan fails
+        # both); only a matrix that fails looks for its first fault.
+        if not (a.min() > 0.0 and a.max() < math.inf):
+            _check_entries(a, "entry", nonneg=True)
+            # Tested with any, not sum: a sum of finite entries can overflow to inf.
+            positive = a > 0
+            for axis, line in ((1, "row"), (0, "column")):
+                if not positive.any(axis=axis).all():
+                    raise ValidationError(f"matrix is not allowable: a {line} is identically zero")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -98,10 +107,22 @@ class NonnegMatrix:
     def _diameter(self) -> float:
         """-log phi, or inf when phi = 0 (any zero entry of an allowable matrix)."""
         a = self.entries
-        if (a == 0).any():
+        if a.min() == 0.0:  # the entries are finite and >= 0
             return math.inf
-        k = int(np.argmax(a != a.T))  # first entry, in C order, where A and A.T differ
-        # Pass on the one smaller there, so phi(A) == phi(A.T) exactly; C-order logs are faster.
+        n = a.shape[0]
+        # The pass runs on the rows of log A or of log A.T, chosen by the pair {A, A.T}
+        # alone, so phi(A) == phi(A.T) exactly.
+        if _rows_per_block(n, n) < n - 1:
+            # Several blocks: the orientation with the narrower rows, by the exact sum of
+            # their oscillations, prunes more.  Row sums shift the rows of log P, which
+            # cancels in L[i] - L[j], but widen every row of log P.T.
+            L = np.log(a, order="C")
+            rows, cols = math.fsum(osc(L)), math.fsum(osc(L.T))
+            if rows != cols:
+                return _pairwise_diameter(L if rows < cols else np.ascontiguousarray(L.T))
+        # One block, or a tie: the one smaller at the first entry, in C order, where A and
+        # A.T differ.  C-order logs are faster.
+        k = int(np.argmax(a != a.T))
         return _pairwise_diameter(np.log(a.T if a.flat[k] > a.T.flat[k] else a, order="C"))
 
 
@@ -126,10 +147,11 @@ class GridKernel:
             raise DimensionError("log_values must be a 2-D array")
         if min(lv.shape) < 2:
             raise ValidationError("kernel grid needs at least 2 points on each axis")
-        _check_entries(lv, "log kernel value")
+        # A finite span means every entry is finite; only a failed test looks for the entry.
         # Then no difference of two log values overflows in the diameter pass; an
         # oscillation of such differences, up to twice the span, can (see _diameter).
         if not math.isfinite(float(lv.max()) - float(lv.min())):
+            _check_entries(lv, "log kernel value")
             raise ValidationError("log kernel values must span a finite range (max - min)")
         lv.setflags(write=False)  # the cached diameter relies on it
         object.__setattr__(self, "log_values", lv)
@@ -144,15 +166,26 @@ class GridKernel:
         return d
 
 
+def _rows_per_block(m: int, p: int) -> int:
+    """Rows a block of the diameter pass of an m x p array takes: one block iff >= m - 1."""
+    # About 2**16 differences (512 KB) a block: amortises numpy's per-call cost on
+    # small matrices, one row at a time on large ones.
+    return max(1, (1 << 16) // (m * p))
+
+
 def _pairwise_diameter(L: np.ndarray) -> float:
     """max over row pairs i < j of osc(L[i] - L[j]): -log phi of exp(L), never -0.0."""
     m, p = L.shape
-    # Rows [i, i+b) against later rows, about 2**16 differences (512 KB) a block:
-    # amortises numpy's per-call cost on small matrices, one row at a time on
-    # large ones.  osc(L[i] - L[j]) == osc(L[j] - L[i]) bit for bit.
-    b = max(1, (1 << 16) // (m * p))
-    if b >= m - 1:  # one block: nothing to prune, so no sort and no bounds
-        return float(osc(L[:b, None, :] - L[None, :, :]).max())
+    # Rows [i, i+b) against later rows.  osc(L[i] - L[j]) == osc(L[j] - L[i]) bit for bit.
+    b = _rows_per_block(m, p)
+    if b >= m - 1:
+        # One block: nothing to prune, so no sort and no bounds.  Every pair at once, as
+        # D[k, i, j] = L[i, k] - L[j, k] from the columns of L, so that max and min reduce
+        # over the first axis, m * m entries a step, not over a last axis only p long.  The
+        # differences are the same and max and min are exact, so the bits are too.
+        T = np.ascontiguousarray(L.T)
+        D = T[:, :, None] - T[:, None, :]
+        return float((D.max(axis=0) - D.min(axis=0)).max())
     # The bound is exact: L[i,k] - L[j,k] <= hi[i] - lo[j] for every k, and float
     # rounding is monotone, so every float difference lies between
     # fl(lo[i] - hi[j]) and fl(hi[i] - lo[j]), and osc(L[i] - L[j]) <=

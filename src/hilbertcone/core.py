@@ -216,14 +216,15 @@ def beta(x: PositiveVector, y: PositiveVector) -> float:
 
 def osc(D) -> np.ndarray | float:
     """max - min over the last axis, batched over the others; H(x, y) = osc(log y - log x)."""
+    if isinstance(D, (str, bytes, bytearray)):  # numpy would read "12" as the number 12
+        raise _not_numbers(D, "entry")
     try:
         D = np.asarray(D, dtype=float)
     except (TypeError, ValueError):
         raise _not_numbers(D, "entry") from None
-    try:
-        return D.max(axis=-1) - D.min(axis=-1)
-    except ValueError:  # no entry on the last axis, or no axis at all
-        raise ValidationError(f"expected an entry on the last axis, got shape {D.shape}") from None
+    if not (D.shape and D.shape[-1]):  # numpy reduces a 0-d array over axis -1 to itself
+        raise ValidationError(f"expected an entry on the last axis, got shape {D.shape}")
+    return D.max(axis=-1) - D.min(axis=-1)
 
 
 def _ratio_range(xw: Sequence[float], yw: Sequence[float]) -> tuple[float, float, bool]:
@@ -293,8 +294,20 @@ def _unit_mass(ws: Sequence[float]) -> tuple[float, ...]:
 
 
 def normalize(x: PositiveVector) -> SimplexPoint:
-    """Scale x to unit total mass."""
-    return SimplexPoint(_unit_mass(x.weights))
+    """Scale x to unit total mass.
+
+    The SimplexPoint is built without its checks, which the quotients always pass.  x holds
+    n >= 2 finite weights w >= 0, one positive, so their exact sum S is positive.
+    ``_unit_mass`` refuses an S past float range, else divides by ``T = fsum = S(1 + e)``,
+    |e| <= u = 2**-53.  So each quotient ``fl(w / T)`` is finite and >= 0, and that of the
+    largest w, at least 1/(n(1 + u)), is positive.  Each is ``(w / T)(1 + d)``, |d| <= u,
+    or within 2**-1075 of ``w / T`` where it is subnormal, so the quotients sum exactly to
+    ``(1 + d')/(1 + e)``, |d'| <= u, up to n 2**-1075: within 2u of 1, and their fsum
+    within 3u, far inside SimplexPoint's 1e-12.
+    """
+    p = object.__new__(SimplexPoint)
+    object.__setattr__(p, "weights", _unit_mass(x.weights))
+    return p
 
 
 def _osc_of_difference(f: Sequence[float], g: Sequence[float] | float) -> float:

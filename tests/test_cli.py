@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -45,6 +46,56 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def text_mode_outcome(path, kind):
+    """What parse_input makes of the file read in text mode, or the error it raises."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return outcome(lambda: parse_input(fh.read(), kind))
+
+
+def outcome(make):
+    try:
+        obj = make()
+    except HilbertConeError as exc:
+        return type(exc), str(exc)
+    return type(obj), obj.weights if isinstance(obj, PositiveVector) else obj.entries.tolist()
+
+
+LOAD_DOCUMENTS = {
+    "CRLF JSON": b"[[1, 2],\r\n [3, 4]]\r\n",
+    "CRLF CSV": b"# w\r\n1,2\r\n3,4\r\n",
+    "bare CR CSV": b"1,2\r3,4\r",
+    "CR before CRLF": b"# a\r\r\n1,2\r\n\r3,4",
+    "BOM JSON": b"\xef\xbb\xbf[[1, 2], [3, 4]]",
+    "BOM CSV": b"\xef\xbb\xbf1,2\n3,4",
+    "invalid UTF-8 in a CSV comment": b"# caf\xe9 \xff\xfe\r\n1,2\n3,4\n",
+    "invalid UTF-8 in a CSV row": b"1,2\n3,\xff4\n",
+    "invalid UTF-8 in JSON": b"[[1, 2], [3, \xc3]]",
+    "line separator": b"1,2\xe2\x80\xa83,4",
+    "JSON error after bare CRs": b"[1,\r2,\r\r]",
+    "JSON error after CRLFs": b"[[1, 2],\r\n [3, x]]",
+}
+
+
+@pytest.mark.parametrize("kind", ["vector", "matrix"])
+@pytest.mark.parametrize("data", LOAD_DOCUMENTS.values(), ids=LOAD_DOCUMENTS.keys())
+def test_load_reads_as_text_mode_does(tmp_path, data, kind):
+    path = tmp_path / "doc"
+    path.write_bytes(data)
+    assert outcome(lambda: cli._load(str(path), kind)) == text_mode_outcome(path, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.sampled_from([b"1", b"2.5", b",", b"\r", b"\n", b"\r\n", b"#", b" ",
+                                       b"[", b"]", b"\xff", b"\xef\xbb\xbf", b"\xc3",
+                                       b"\xe2\x80\xa8"]), max_size=30),
+       kind=st.sampled_from(["vector", "matrix"]))
+def test_load_reads_random_bytes_as_text_mode_does(parts, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc"
+        path.write_bytes(b"".join(parts))
+        assert outcome(lambda: cli._load(str(path), kind)) == text_mode_outcome(path, kind)
+
+
 class TestParseInput:
     def test_json_vector(self):
         doc = parse_input("[1, 2, 3]", "vector")
@@ -66,6 +117,15 @@ class TestParseInput:
     def test_ragged(self):
         with pytest.raises(ValidationError, match="ragged"):
             parse_input("[[1, 2], [3]]", "matrix")
+
+    @pytest.mark.parametrize("doc, message", [
+        ('[[1, 2], [3, 4], [5, true]]', "entry at (2, 1) is not a number: True"),
+        ('[[1, 2], [3, "4"], [null, 6]]', "entry at (1, 1) is not a number: '4'"),
+        ('[[1, 2], [], [[3], 4]]', "entry at (2, 0) is not a number: [3.0]"),
+    ])
+    def test_first_leaf_that_is_not_a_number_is_named(self, doc, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_input(doc, "matrix")
 
     def test_json_error_location(self):
         with pytest.raises(ValidationError, match="line 1, column"):

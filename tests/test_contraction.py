@@ -205,6 +205,78 @@ def test_pruned_pass_matches_unpruned_pass_bit_for_bit(rng):
     assert multi_block > 500
 
 
+@pytest.mark.parametrize("m, p, one_block", [
+    (1, 40, True), (40, 1, True), (39, 40, True), (40, 40, True), (40, 41, True),
+    (41, 40, False), (41, 41, False),
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_one_block_boundary_matches_unpruned_pass_bit_for_bit(rng, m, p, one_block, order):
+    # (40, 41) takes m - 1 rows a block: the one-block pass also takes the last row's pairs.
+    assert (contraction._rows_per_block(m, p) >= m - 1) == one_block
+    for family in FAMILIES:
+        for _ in range(5):
+            L = np.asarray(log_matrix(rng, family, m, p), order=order)
+            got = contraction._pairwise_diameter(L)
+            assert got.hex() == unpruned_diameter(L).hex(), family
+            assert math.copysign(1.0, got) == 1.0
+
+
+def first_differing_rule(a):
+    """The logs a one-block pass, or a tie, runs on: A or A.T, whichever is smaller where they
+    first differ in C order."""
+    k = int(np.argmax(a != a.T))
+    return np.log(a.T if a.flat[k] > a.T.flat[k] else a, order="C")
+
+
+def row_osc_sum(L):
+    return math.fsum(osc(L))
+
+
+def chain(rng, n):
+    a = np.exp(rng.uniform(-2.0, 2.0, (n, n)))
+    return a / a.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The arrays handed to the diameter pass."""
+    seen = []
+    real = contraction._pairwise_diameter
+    monkeypatch.setattr(contraction, "_pairwise_diameter", lambda L: seen.append(L) or real(L))
+    return seen
+
+
+def test_several_blocks_run_on_the_narrower_orientation(rng, passes):
+    # Row sums shift the rows of log P, which the bound ignores, and widen the rows of log P.T,
+    # so a chain's pass runs on the rows of log P.
+    for n in (41, 60, 100, 131):
+        p = chain(rng, n)
+        for a, rows in ((p, np.log(p)), (p.T.copy(), np.log(p)), (random_allowable(rng, n), None)):
+            for side in (a, a.T.copy()):
+                passes.clear()
+                d = projective_diameter(side)
+                (L,) = passes
+                assert L.flags.c_contiguous
+                narrower = min((np.log(a), np.log(a.T)), key=row_osc_sum)
+                assert row_osc_sum(L) < row_osc_sum(L.T)
+                assert np.array_equal(L, narrower)
+                assert rows is None or np.array_equal(L, rows)
+                assert d.hex() == unpruned_diameter(narrower).hex()
+
+
+def test_one_block_and_ties_keep_the_first_differing_rule(rng, passes):
+    cases = [chain(rng, n) for n in (2, 7, 40)] + [random_allowable(rng, n) for n in (3, 40)]
+    # Circulant: the rows of A are the columns of A reversed, so the two sums tie at any n.
+    c = np.exp(rng.uniform(-2.0, 2.0, 60))
+    circulant = c[(np.arange(60)[None, :] - np.arange(60)[:, None]) % 60]
+    assert row_osc_sum(np.log(circulant)) == row_osc_sum(np.log(circulant.T))
+    for a in cases + [circulant, circulant + circulant.T]:
+        for side in (a, a.T.copy()):
+            passes.clear()
+            birkhoff_phi(side)
+            assert np.array_equal(passes[0], first_differing_rule(side))
+
+
 def test_pruned_pass_skips_pairs_of_narrow_rows(monkeypatch):
     # Rows widen down the matrix and alternate in sign, so the two widest rows
     # attain the bound and, once they are compared, every other pair is skipped.
@@ -215,7 +287,7 @@ def test_pruned_pass_skips_pairs_of_narrow_rows(monkeypatch):
     monkeypatch.setattr(contraction, "osc", lambda D: pairs.append(D.shape[0] * D.shape[1])
                         or real(D))
     assert contraction._pairwise_diameter(L) == unpruned_diameter(L) == 4.0 * m - 2.0
-    assert sum(pairs) <= 0.1 * m * (m - 1) / 2
+    assert 0 < sum(pairs) <= 0.1 * m * (m - 1) / 2
 
 
 def test_pruned_pass_memory_on_a_tall_kernel(rng):

@@ -161,6 +161,32 @@ def test_normalize():
     assert normalize(V((0, 5))).weights == (0.0, 1.0)
 
 
+WEIGHT_KINDS = ("zero", "subnormal", "near 1e308/n", "lognormal")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 10_000), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(WEIGHT_KINDS), min_size=1, max_size=4, unique=True))
+def test_normalize_passes_the_simplex_checks(n, seed, kinds):
+    """normalize skips SimplexPoint's checks; its quotients must pass them anyway."""
+    rng = np.random.default_rng(seed)
+    pools = {
+        "zero": np.zeros(n),
+        "subnormal": rng.integers(1, 2**52, n) * 5e-324,
+        "near 1e308/n": rng.uniform(0.5, 1.0, n) * (1e308 / n),
+        "lognormal": rng.lognormal(0.0, 20.0, n),
+    }
+    w = np.choose(rng.integers(len(kinds), size=n), [pools[k] for k in kinds])
+    if not w.any():
+        w[rng.integers(n)] = 5e-324
+    x = V(tuple(w.tolist()))
+    mu = normalize(x)
+    assert type(mu) is SimplexPoint and type(mu.weights) is tuple
+    assert SimplexPoint(mu.weights) == mu
+    total = math.fsum(x.weights)
+    assert mu.weights == tuple(v / total for v in x.weights)
+
+
 def test_theta_seminorm():
     assert theta_seminorm(LogDensityVector((0, 0, 0))) == 0.0
     assert theta_seminorm(LogDensityVector((1, -1, 0))) == 2.0

@@ -21,6 +21,7 @@ from hilbertcone import (
     birkhoff_phi,
     markov_converge,
     osc,
+    projective_diameter,
     render_svg,
     theta_chart,
     verify_contraction,
@@ -177,6 +178,11 @@ NOT_A_NUMBER = {
                              "ragged array: row 1 has 1 entries, expected 2"),
     "osc of non-numbers": (lambda: osc(["a", "b"]), "entry at index 0 is not a number: 'a'"),
     "osc of nothing": (lambda: osc([]), "expected an entry on the last axis, got shape (0,)"),
+    "osc of a str": (lambda: osc("12"), "expected a sequence of numbers, got '12'"),
+    "osc of bytes": (lambda: osc(b"12"), "expected a sequence of numbers, got b'12'"),
+    "osc of a scalar": (lambda: osc(5.0), "expected an entry on the last axis, got shape ()"),
+    "osc of a 0-d array": (lambda: osc(np.array(5.0)),
+                           "expected an entry on the last axis, got shape ()"),
 }
 
 
@@ -184,3 +190,55 @@ NOT_A_NUMBER = {
 def test_refusal_names_the_first_entry_that_is_not_a_number(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _ones_but(at, value, n=4):
+    a = np.ones((n, n))
+    a[at] = value
+    return a
+
+
+# A valid matrix passes its checks in two reductions and a valid kernel in one span; each input
+# here fails them by one entry, and the full checker gives the message it gave before.
+ONE_ENTRY_OFF = {
+    "matrix entry nan, last": (lambda: NonnegMatrix(_ones_but((3, 3), NAN)),
+                               ValidationError, "entry at (3, 3) is not finite: nan"),
+    "matrix entry inf": (lambda: NonnegMatrix(_ones_but((1, 2), INF)),
+                         ValidationError, "entry at (1, 2) is not finite: inf"),
+    "matrix entry -inf": (lambda: NonnegMatrix(_ones_but((2, 0), -INF)),
+                          ValidationError, "entry at (2, 0) is not finite: -inf"),
+    "matrix entry negative": (lambda: NonnegMatrix(_ones_but((0, 3), -1e-300)),
+                              ValidationError, "entry at (0, 3) is negative: -1e-300"),
+    "zero that empties a row": (lambda: NonnegMatrix([[0.0, 0.0], [1.0, 1.0]]), ValidationError,
+                                "matrix is not allowable: a row is identically zero"),
+    "zero that empties a column": (lambda: NonnegMatrix([[0.0, 1.0], [0.0, 1.0]]),
+                                   ValidationError,
+                                   "matrix is not allowable: a column is identically zero"),
+    "zero 1x1 matrix": (lambda: NonnegMatrix([[0.0]]), ValidationError,
+                        "matrix is not allowable: a row is identically zero"),
+    "log kernel value nan, last": (lambda: GridKernel(_ones_but((3, 3), NAN)),
+                                   ValidationError, "log kernel value at (3, 3) is not finite: nan"),
+    "log kernel value -inf": (lambda: GridKernel(_ones_but((0, 1), -INF)),
+                              ValidationError, "log kernel value at (0, 1) is not finite: -inf"),
+    "log kernel value inf beside an overflowing span": (
+        lambda: GridKernel([[1.7e308, -1.7e308], [INF, 0.0]]),
+        ValidationError, "log kernel value at (1, 0) is not finite: inf"),
+    "overflowing span": (lambda: GridKernel([[1.7e308, -1.7e308], [0.0, 0.0]]), ValidationError,
+                         "log kernel values must span a finite range (max - min)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ONE_ENTRY_OFF.values(), ids=ONE_ENTRY_OFF.keys())
+def test_one_entry_off_gets_the_full_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("value", [5e-324, 1.7e308, 0.0, -0.0])
+def test_one_extreme_entry_is_accepted(value):
+    # Subnormal and huge entries pass the two reductions; a zero fails them, is checked in
+    # full and is accepted, with diameter inf.
+    m = NonnegMatrix(_ones_but((3, 2), value))
+    assert m.entries[3, 2] == value
+    assert (projective_diameter(m) == INF) is (value == 0.0)

@@ -13,7 +13,10 @@ directory (``cd`` there, then ``hilbertcone`` and the argv).
 
 Most ops draw n in 2..7.  About 5% of the matrix ops draw n in 40..160, where
 the diameter pass runs in several blocks, and about 5% of the dist and bounds
-ops draw n in 1,000..10,000.  About 5% of the dist and bounds ops (both commands
+ops draw n in 1,000..10,000.  The tau and verify matrices at even n among the
+large ones are row-stochastic with full support, as most markov chains are, so
+that the orientation a pass of several blocks runs on shows in their counts
+too (they take the same draws as the others).  About 5% of the dist and bounds ops (both commands
 draw alike) draw both vectors with full support and weights exp(uniform(-s, s)),
 s = 350 or 700, instead of lognormal(0, 2) ones with 20% zeros.  At s = 350 the
 unit mass keeps every weight above e^-700, and H, on the raw vectors (dist) and
@@ -153,10 +156,16 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
             w[rng.integers(n)] = 0.0
         return w
 
+    def square(n: int) -> list[list[float]]:  # row-stochastic, full support at even n >= 40
+        if n < 40 or n % 2:
+            return [vec(n, 0.1) for _ in range(n)]
+        p = np.array([vec(n, 0.0) for _ in range(n)])
+        return (p / p.sum(axis=1, keepdims=True)).tolist()
+
     args = {
         "dist": pair,
-        "tau": lambda n: [doc([vec(n, 0.1) for _ in range(n)])],
-        "verify": lambda n: [doc([vec(n, 0.1) for _ in range(n)]), "--trials", trials(n)],
+        "tau": lambda n: [doc(square(n))],
+        "verify": lambda n: [doc(square(n)), "--trials", trials(n)],
         "tau-kernel": lambda n: [doc(kernel(n))],
         "markov": lambda n: [doc(chain(n)), doc(start(n)), rng.integers(0, 81)],
         "ball": lambda n: [doc(center(n + int(rng.integers(0, 3)))), rng.choice(RADII)],
