@@ -10,11 +10,13 @@ and checks the values.  All floating-point output is serialized with ``repr``
 with identical arguments and seed are byte-identical (``verify``: at a fixed
 BLAS thread count).  The seed, an integer >= 0, defaults to 0 and can be
 overridden by the ``HILBERT_CONE_SEED`` environment variable or ``--seed``.
+A well-formed command line is read straight from the command table.  Help, an
+unknown command, a leftover or odd token and a bad value go to the argparse
+parser built from the same table, which writes every help and error message.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -23,6 +25,7 @@ import reprlib
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import bounds as bnd
 from . import contraction as ctr
@@ -106,11 +109,11 @@ def parse_input(text: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr
 
 
 def _load(path: str, kind: str) -> PositiveVector | ctr.NonnegMatrix | ctr.GridKernel:
-    # A byte that is not UTF-8 fails as a non-number, or is ignored in a comment.  One binary
-    # read is cheaper than a text-mode one; the newlines are then translated as text mode's
-    # universal newlines would, \r\n and a bare \r to \n.
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8", "replace")
+    # A byte that is not UTF-8 fails as a non-number, or is ignored in a comment.  One unbuffered
+    # binary read is cheaper than a text-mode one; the newlines are then translated as text
+    # mode's universal newlines would, \r\n and a bare \r to \n.
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.readall().decode("utf-8", "replace")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_input(text, kind)
@@ -269,58 +272,72 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.passed else 1
 
 
-@functools.cache  # built once per process: the environment is read per call, not here
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each subcommand's own parser by name."""
+# The command table, which _build_parser and _args both read: each subcommand's help, handler,
+# positionals as (name, type) and options as {flag: (type, default, required, help)}.
+_COMMANDS = {
+    "dist": ("distances between two nonnegative vectors", _cmd_dist, (("a", str), ("b", str)), {}),
+    "tau": ("Birkhoff coefficient of a nonnegative matrix", _cmd_tau, (("matrix", str),), {}),
+    "tau-kernel": ("Birkhoff coefficient of a grid kernel", _cmd_tau_kernel, (("grid", str),), {}),
+    "ball": ("Hilbert ball polytope around a simplex point", _cmd_ball,
+             (("center", str), ("radius", float)), {}),
+    "tile": ("tile S^2 with hexagonal Hilbert balls", _cmd_tile,
+             (("center", str), ("radius", float), ("shells", int)),
+             {"--svg": (str, None, True, "output path for the SVG rendering")}),
+    "markov": ("certified Markov-chain convergence table", _cmd_markov,
+               (("matrix", str), ("mu0", str), ("steps", int)), {}),
+    "bounds": ("all inter-metric bound reports for a pair", _cmd_bounds,
+               (("a", str), ("b", str)), {}),
+    "verify": ("randomized contraction check for a matrix", _cmd_verify, (("matrix", str),),
+               {"--trials": (int, 1000, False, None), "--seed": (int, None, False, None)}),
+}
+
+
+@functools.cache  # built once per process, and only for a command line that _args leaves to it
+def _build_parser():
+    """The full parser, built from the command table."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hilbertcone",
         description="Hilbert projective metric, Birkhoff coefficients, and simplex geometry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest, type_ in positionals:
+            p.add_argument(dest, type=type_)
+        for flag, (type_, default, required, text) in options.items():
+            p.add_argument(flag, type=type_, default=default, required=required, help=text)
+        p.set_defaults(func=func)
+    return parser
 
-    p = sub.add_parser("dist", help="distances between two nonnegative vectors")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("tau", help="Birkhoff coefficient of a nonnegative matrix")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_tau)
-
-    p = sub.add_parser("tau-kernel", help="Birkhoff coefficient of a grid kernel")
-    p.add_argument("grid")
-    p.set_defaults(func=_cmd_tau_kernel)
-
-    p = sub.add_parser("ball", help="Hilbert ball polytope around a simplex point")
-    p.add_argument("center")
-    p.add_argument("radius", type=float)
-    p.set_defaults(func=_cmd_ball)
-
-    p = sub.add_parser("tile", help="tile S^2 with hexagonal Hilbert balls")
-    p.add_argument("center")
-    p.add_argument("radius", type=float)
-    p.add_argument("shells", type=int)
-    p.add_argument("--svg", required=True, help="output path for the SVG rendering")
-    p.set_defaults(func=_cmd_tile)
-
-    p = sub.add_parser("markov", help="certified Markov-chain convergence table")
-    p.add_argument("matrix")
-    p.add_argument("mu0")
-    p.add_argument("steps", type=int)
-    p.set_defaults(func=_cmd_markov)
-
-    p = sub.add_parser("bounds", help="all inter-metric bound reports for a pair")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("verify", help="randomized contraction check for a matrix")
-    p.add_argument("matrix")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    return parser, sub.choices
+def _args(argv: list[str], env_seed: int) -> SimpleNamespace | None:
+    """The namespace the full parser gives a well-formed ``argv``, read from the command table;
+    None for anything else, such as an option that is not an exact flag followed by a value not
+    starting with '-': the full parser then reads it, and writes any help or error message."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, func, positionals, options = spec
+    values = {flag[2:]: default for flag, (_, default, _, _) in options.items()}
+    given, seen, tokens = [], set(), iter(argv[1:])
+    try:
+        for tok in tokens:
+            if tok[:1] != "-":
+                given.append(tok)
+            elif tok in options and (value := next(tokens, "-"))[:1] != "-":
+                values[tok[2:]] = options[tok][0](value)
+                seen.add(tok)
+            else:
+                return None
+        if len(given) != len(positionals) or any(
+                required and flag not in seen for flag, (_, _, required, _) in options.items()):
+            return None
+        values.update((dest, type_(tok)) for (dest, type_), tok in zip(positionals, given))
+    except ValueError:
+        return None
+    return SimpleNamespace(env_seed=env_seed, command=argv[0], func=func, **values)
 
 
 def run_command(argv: list[str], out=None) -> int:
@@ -332,18 +349,12 @@ def run_command(argv: list[str], out=None) -> int:
     except ValueError:
         print(f"error: HILBERT_CONE_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
         return 2
-    parser, commands = _build_parser()
-    # env_seed is no parser option, so the subcommand's defaults leave it in place.
-    args = argparse.Namespace(env_seed=default_seed)
-    try:
-        # The full parser hands a subcommand the rest of argv; parsing it directly costs about
-        # half as much.  Help, an unknown or missing command and a leftover argument go to the full
-        # parser, which writes every message: a leftover is its error, with its usage line.
-        sub = commands.get(argv[0]) if argv else None
-        if sub is None or sub.parse_known_args(argv[1:], args)[1]:
-            args = parser.parse_args(argv, argparse.Namespace(env_seed=default_seed))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _args(argv, default_seed)
+    if args is None:
+        try:  # env_seed is no parser option, so the subcommand's defaults leave it in place
+            args = _build_parser().parse_args(argv, SimpleNamespace(env_seed=default_seed))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args, out)
     except (HilbertConeError, OSError) as exc:

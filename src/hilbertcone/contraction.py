@@ -324,7 +324,6 @@ class MarkovRun:
     steps: tuple[MarkovStep, ...]
     stationary: SimplexPoint
     tau: float
-    nonexpansive_only: bool  # tau == 1: the bound degenerates to non-expansiveness
 
 
 def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[tuple[float, ...]]:
@@ -388,4 +387,4 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
         if math.isfinite(bound) and hk > bound + 1e-9:
             raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
         rows.append(MarkovStep(k, hk, _t(hk), tv, bound))
-    return MarkovRun(tuple(rows), pi, tau, nonexpansive_only=(tau >= 1.0))
+    return MarkovRun(tuple(rows), pi, tau)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import dataclasses
 import io
 import json
@@ -11,10 +12,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbertcone import (
     CertificationError,
@@ -699,7 +701,7 @@ def _run_full_parse(argv):
     """The CLI with every argv through the full parser: the oracle for run_command's dispatch."""
     buf = io.StringIO()
     try:
-        args = cli._build_parser()[0].parse_args(argv, argparse.Namespace(env_seed=0))
+        args = cli._build_parser().parse_args(argv, argparse.Namespace(env_seed=0))
         code = args.func(args, buf)
     except SystemExit as exc:
         code = int(exc.code or 0)
@@ -707,6 +709,9 @@ def _run_full_parse(argv):
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     return code, buf.getvalue()
+
+
+DOCUMENTS = {"a": "[1, 2, 3]", "b": "[3, 2, 1]", "c": "[1, 1, 1]", "m": "[[1, 2], [3, 4]]"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -718,11 +723,92 @@ def _run_full_parse(argv):
 def test_dispatch_matches_the_full_parser(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HILBERT_CONE_SEED", raising=False)
-    for name, text in (("a", "[1, 2, 3]"), ("b", "[3, 2, 1]"), ("c", "[1, 1, 1]"),
-                       ("m", "[[1, 2], [3, 4]]")):
+    for name, text in DOCUMENTS.items():
         write(tmp_path, name, text)
     expected = (*_run_full_parse(argv.split()), capsys.readouterr())
     assert (*run(argv.split()), capsys.readouterr()) == expected
+
+
+VALID = {str: [*DOCUMENTS, "t.svg", "nope", ""], float: ["0.5", "2", "1e-3"], int: ["2", "1", "0"]}
+ODD = [["-t.svg"], ["-0.5"], ["-3"], ["x"], ["1.5"], ["a"], [""], ["--"], ["-h"], ["--help"],
+       ["--trials"], ["--svg"], ["--tri"], ["--se"], ["--trials=5"], ["--seed=-3"], ["-x"],
+       ["--seed", "5"], ["--tri", "5"]]
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed command line, its options anywhere among its positionals, with up to two
+    odd tokens put in place of a token or beside one; or no command, or an unknown one."""
+    cmd = draw(st.sampled_from([*cli._COMMANDS, *cli._COMMANDS, "nope", "", "-h", "--"]))
+    _, _, positionals, options = cli._COMMANDS.get(cmd, (None, None, [("a", str)], {}))
+    units = [[draw(st.sampled_from(VALID[type_]))] for _, type_ in positionals]
+    for flag, (type_, *_) in options.items():
+        for _ in range(draw(st.sampled_from([1, 0, 2]))):  # given twice, the last one wins
+            unit = [flag, draw(st.sampled_from(VALID[type_]))]
+            units.insert(draw(st.integers(0, len(units))), unit)
+    argv = [t for unit in units for t in unit]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = draw(st.sampled_from(ODD))
+    return [cmd, *argv]
+
+
+def _outputs(call, argv):
+    """``call(argv)`` on fresh documents in the current directory (a tile may have written its
+    SVG over one), with sys.stdout and sys.stderr captured: argparse writes to them.  An
+    escaping exception is an output too: Python 3.11's argparse turns the positional after a
+    second '--' into [], and both paths then fail alike in the handler."""
+    for name, text in DOCUMENTS.items():
+        Path(name).write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as so, \
+            contextlib.redirect_stderr(io.StringIO()) as se:
+        try:
+            result = call(argv)
+        except Exception as exc:
+            result = f"escaped {type(exc).__name__}: {exc}"
+    return result, so.getvalue(), se.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+@example(argv=["tile", "c", "0.5", "--svg", "t.svg", "1"])
+@example(argv=["tile", "c", "0.5", "1", "--svg", "-t.svg"])  # a value argparse refuses
+@example(argv=["verify", "--trials", "20", "m", "--seed", "3", "--seed", "4"])
+@example(argv=["markov", "m", "", "2"])
+@example(argv=["tile", "--svg", "a", "a", "0.5", "2"])  # the SVG replaces the center document
+def test_argv_read_from_the_table_matches_argparse(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("HILBERT_CONE_SEED", None)
+        os.chdir(tmp)  # documents and SVGs by relative name
+        try:
+            args = cli._args(argv, 0)
+            if args is not None:
+                full, leftover = cli._build_parser().parse_known_args(
+                    argv, argparse.Namespace(env_seed=0))
+                assert (vars(args), leftover) == (vars(full), [])
+            assert _outputs(run, argv) == _outputs(_run_full_parse, argv)
+        finally:
+            os.chdir(cwd)
+
+
+def test_help_is_the_parsers_text(monkeypatch, capsys):
+    """Top-level and per-command help, byte for byte as the add_parser blocks printed it."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    for argv in [["-h"], *([cmd, "-h"] for cmd in cli._COMMANDS)]:
+        assert run(argv) == (0, "")
+    assert capsys.readouterr().out == (Path(__file__).parent / "cli_help.txt").read_text()
+
+
+def test_well_formed_command_imports_no_argparse(tmp_path):
+    m = write(tmp_path, "m.json", "[[1, 2], [3, 4]]")
+    script = ("import sys\nfrom hilbertcone.cli import run_command\n"
+              f"code = run_command(['verify', '--trials', '20', {m!r}, '--seed', '3'])\n"
+              "print(code, 'argparse' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
 
 
 def _report_text(lhs_name, rhs_name, lhs, rhs, slack, applicable):

@@ -699,13 +699,13 @@ def markov_two_walks(P, mu0, steps):
             raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
         tv = math.fsum(abs(a - b) for a, b in zip(mw, pw))
         rows.append(MarkovStep(k, hk, math.tanh(hk / 4.0), tv, bound))
-    return MarkovRun(tuple(rows), pi, tau, nonexpansive_only=(tau >= 1.0)), K
+    return MarkovRun(tuple(rows), pi, tau), K
 
 
 def run_bits(run):
     """Every float of a MarkovRun as float.hex, for bit-for-bit comparison."""
     rows = [[v.hex() if isinstance(v, float) else v for v in row] for row in run.steps]
-    return rows, [w.hex() for w in run.stationary.weights], run.tau.hex(), run.nonexpansive_only
+    return rows, [w.hex() for w in run.stationary.weights], run.tau.hex()
 
 
 def outcome(run):
@@ -734,7 +734,7 @@ class TestMarkovConverge:
     def test_rank_one_chain(self):
         run = markov_converge([[0.5, 0.5], [0.5, 0.5]], SimplexPoint((0.9, 0.1)), 3)
         assert run.steps[1].hilbert == pytest.approx(0.0, abs=1e-12)
-        assert not run.nonexpansive_only
+        assert run.tau < 1.0  # a strict contraction, not just non-expansive
 
     def test_two_state_rate(self):
         p = [[0.75, 0.25], [0.25, 0.75]]

@@ -38,8 +38,15 @@ About 90% of the verify ops at n >= 40, and 10% of the others, draw --trials in
 200..5,000 instead of 20, so that at n >= 40 the trials mostly run in several
 blocks (12 and 7 ops of 4,000 at seeds 5 and 6).  About 1% of all ops are
 usage errors, which exit 2: a leftover positional, an unknown option, a --trials
-that is not an integer, or the subcommand alone with its positionals missing.
-There is no -h among them, because help goes to the process's real stdout.
+or --seed= that is not an integer, an --svg value that starts with '-', a --tri
+with no value, or the subcommand alone with its positionals missing.  There is
+no -h among them, because help goes to the process's real stdout.  About 10% of
+the verify and tile ops are then spelled another way: options before the
+positionals, with or without a -- separator between them, --flag=value, an
+abbreviated flag, --seed given twice, or --seed -3 (tile has no --seed, so the
+last two are usage errors there).  The CLI reads a well-formed command line
+straight from its command table and leaves every other form to argparse, so
+these shapes exercise both of its paths.
 Warnings are shown each time they are raised, as they would be in a process of
 their own.
 """
@@ -84,7 +91,16 @@ MALFORMED = ["", '[1, "a"]', "[[1, 2], [3]]", '[[1, 2], [3], ["a", 4]]', "[]", "
 PARTS = ("exit code", "stderr", "stdout", "SVG")  # the fields of one RUNNER result
 SHOWN = 3  # differing ops printed per subcommand
 USAGE_ERRORS = (lambda a: [*a, "extra"], lambda a: [*a, "--bogus"],
-                lambda a: [*a, "--trials", "x"], lambda a: a[:1])
+                lambda a: [*a, "--trials", "x"], lambda a: a[:1],
+                lambda a: [*a, "--svg", "-t.svg"], lambda a: [*a, "--seed=x"],
+                lambda a: [*a, "--tri"])
+# Other spellings of a verify or tile command line [cmd, *positionals, flag, value].
+RESHAPES = (lambda c, p, f, v: [c, f, v, *p],  # options before the positionals
+            lambda c, p, f, v: [c, f, v, "--", *p],
+            lambda c, p, f, v: [c, *p, f"{f}={v}"],
+            lambda c, p, f, v: [c, *p, f[:-2], v],  # an abbreviation: --tria, --s
+            lambda c, p, f, v: [c, "--seed", "4", *p, f, v, "--seed", "5"],  # the last one wins
+            lambda c, p, f, v: [c, *p, "--seed", "-3", f, v])  # verify refuses a negative seed
 LARGE = {"tau": (40, 160), "verify": (40, 160), "tau-kernel": (40, 160), "markov": (40, 160),
          "dist": (1000, 10000), "bounds": (1000, 10000)}
 
@@ -181,6 +197,9 @@ def make_ops(rng, count: int, work: Path) -> list[tuple[list[str], bool]]:
         if rng.random() < 0.01:
             argv = USAGE_ERRORS[rng.integers(len(USAGE_ERRORS))](argv)
         ops.append((argv, large))
+    for argv, _ in ops:  # drawn after the ops above, so that their draws stay as they were
+        if argv[0] in ("verify", "tile") and rng.random() < 0.1:
+            argv[:] = RESHAPES[rng.integers(len(RESHAPES))](argv[0], argv[1:-2], *argv[-2:])
     return ops
 
 
