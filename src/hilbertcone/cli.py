@@ -297,6 +297,12 @@ def _build_parser():
     """The full parser, built from the command table."""
     import argparse
 
+    class One(argparse.Action):  # Python 3.11 drops every '--': a positional after a second gets []
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:  # refused through the parser's error(): usage line, exit 2
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="hilbertcone",
         description="Hilbert projective metric, Birkhoff coefficients, and simplex geometry.",
@@ -305,7 +311,7 @@ def _build_parser():
     for name, (summary, func, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for dest, type_ in positionals:
-            p.add_argument(dest, type=type_)
+            p.add_argument(dest, type=type_, action=One)
         for flag, (type_, default, required, text) in options.items():
             p.add_argument(flag, type=type_, default=default, required=required, help=text)
         p.set_defaults(func=func)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -328,10 +328,12 @@ class MarkovRun:
 
 def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[tuple[float, ...]]:
     """The unit masses of mu_1, mu_2, ... of mu_{k+1} = mu_k P."""
-    cur = np.asarray(mu0.weights)
+    cur, A = np.asarray(mu0.weights), P.entries
     while True:
-        cur = cur @ P.entries
-        cur = cur / cur.sum()
+        # The bits of cur @ A and cur / cur.sum(), with less per-call dispatch: both products
+        # are one BLAS gemv on contiguous arrays, and the divide writes into the new product.
+        cur = cur.dot(A)
+        cur /= np.add.reduce(cur)
         yield _unit_mass(cur.tolist())
 
 
@@ -343,6 +345,9 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
     invariant, so tau(P) certifies H(mu_k, pi) <= tau^k H(mu_0, pi).  pi is
     the first iterate mu_K with H(mu_{K-1}, mu_K) < 1e-13; the one walk that
     finds it also gives the table's rows, mu_1 .. mu_K kept and later ones made.
+    The search tests one ratio mu_k[0] / mu_{k-1}[0] first and runs the full H
+    only when it is within 1e-12 of 1, near pi: a ratio farther from 1 proves
+    H > 1e-13, so K and pi are those of H on every step.
     ``steps`` is at most 1,000,000.
     """
     P = _as_matrix(P)
@@ -360,31 +365,36 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
     tau = birkhoff_tau(P)
 
     walk = _iterates(mu0, P)
-    prev, kept = _unit_mass(mu0.weights), []
-    for k, mass in enumerate(islice(walk, 100_000), 1):
-        h = _hilbert_weights(prev, mass)
+    kept = []
+    pairs = pairwise(chain([_unit_mass(mu0.weights)], islice(walk, 100_000)))
+    for k, (prev, mass) in enumerate(pairs, 1):
         if k <= steps:
             kept.append(mass)
-        if h < 1e-13:
+        # One ratio proves H(prev, mass) > 1e-13, so only the steps near pi run the full H.
+        # Both are unit masses that sum to 1 within 2u (see normalize): by the mediant
+        # inequality the computed min ratio is at most 1 + 5u and the max at least 1 - 5u, so
+        # a ratio more than 1e-12 from 1 leaves H > 9.9e-13 (> 5e-13 in the log-space form,
+        # which errs by < 2e-13 an entry).  mass[0] = 0 < prev[0] is unequal supports: H = inf.
+        if prev[0] > 0.0 and abs(mass[0] / prev[0] - 1.0) > 1e-12:
+            continue
+        if _hilbert_weights(prev, mass) < 1e-13:
             break
-        prev = mass
     else:
+        h = _hilbert_weights(prev, mass)
         raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
     pi = SimplexPoint(mass)  # the weights normalize() gives for mu_K
 
-    later = islice(walk, steps - len(kept))
-    # (H, tv) to pi of mu_0 .. mu_steps
-    dists = [(_hilbert_weights(mw, mass), _tv(mw, mass))
-             for mw in chain([mu0.weights], kept, later)]
-    h0 = dists[0][0]
-    rows: list[MarkovStep] = []
-    for k, (hk, tv) in enumerate(dists):
+    # H and tv to pi of mu_0 .. mu_steps; row 0's bound is h0 (1.0 * h0, or inf).
+    h0 = _hilbert_weights(mu0.weights, mass)
+    rows = [MarkovStep(0, h0, _t(h0), _tv(mu0.weights, mass), h0)]
+    for k, mw in enumerate(chain(kept, islice(walk, steps - len(kept))), 1):
+        hk = _hilbert_weights(mw, mass)
         if math.isinf(h0):
             # 0 * inf: a rank-one chain hits pi exactly after one step.
-            bound = math.inf if (tau > 0.0 or k == 0) else 0.0
+            bound = math.inf if tau > 0.0 else 0.0
         else:
             bound = (tau**k) * h0
         if math.isfinite(bound) and hk > bound + 1e-9:
             raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
-        rows.append(MarkovStep(k, hk, _t(hk), tv, bound))
+        rows.append(MarkovStep(k, hk, _t(hk), _tv(mw, mass), bound))
     return MarkovRun(tuple(rows), pi, tau)

@@ -423,6 +423,17 @@ class TestCleanErrors:
         assert run(["verify", m]) == (1, "")
         assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
 
+    def test_positional_after_a_second_double_dash_is_usage_error(self, tmp_path, capsys):
+        """Python 3.11's argparse drops every '--' and gives the positional after a second one
+        [], which escaped the handler as a TypeError."""
+        a, c = write(tmp_path, "a.json", "[1, 2, 3]"), write(tmp_path, "c.json", "[1, 1, 1]")
+        for argv, usage, dest in ((["dist", "--", a, "--"], "dist [-h] a b", "b"),
+                                  (["ball", c, "--", "--"], "ball [-h] center radius", "radius")):
+            assert run(argv) == (2, ""), argv
+            cmd = argv[0]
+            assert capsys.readouterr().err == (f"usage: hilbertcone {usage}\nhilbertcone {cmd}: "
+                                               f"error: argument {dest}: expected one argument\n")
+
     def test_allocation_failure(self, tmp_path):
         # The child may map 64 MiB more than it has mapped once imported.
         pytest.importorskip("resource")
@@ -756,8 +767,7 @@ def argvs(draw):
 def _outputs(call, argv):
     """``call(argv)`` on fresh documents in the current directory (a tile may have written its
     SVG over one), with sys.stdout and sys.stderr captured: argparse writes to them.  An
-    escaping exception is an output too: Python 3.11's argparse turns the positional after a
-    second '--' into [], and both paths then fail alike in the handler."""
+    escaping exception is an output too, so both paths must fail alike."""
     for name, text in DOCUMENTS.items():
         Path(name).write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()) as so, \

@@ -3,7 +3,7 @@ import decimal
 import math
 import sys
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -730,6 +730,43 @@ def random_chain(rng, n):
     return p
 
 
+def bound_cases(rng):
+    """(P, mu0, family) that the one-ratio bound of markov_converge's search meets: a
+    zero weight at index 0, tiny chain entries, starts whose ratios take the log-space
+    form, rank-one chains, slow mixers, and chains whose component 0 settles first."""
+    def start(w):
+        return normalize(PositiveVector(tuple(w)))
+
+    for case in range(40):
+        n = int(rng.integers(2, 9))
+        w = np.exp(rng.uniform(-3.0, 3.0, size=n))
+        w[0] = 0.0  # the ratio's denominator is 0 on the first step
+        yield random_chain(rng, n), start(w), "zero at index 0"
+        a = np.exp(rng.uniform(-300.0, 0.0, size=(n, n)))
+        a[:, 0] = 1.0  # every state reaches state 0, so the chain mixes fast
+        p = a / a.sum(axis=1, keepdims=True)
+        yield p, start(np.exp(rng.uniform(-3.0, 3.0, size=n))), "entries exp(U(-300, 0))"
+        w = np.exp(rng.uniform(-3.0, 3.0, size=n))
+        tiny = rng.random(n) < 0.5
+        w[tiny] = np.exp(rng.uniform(-744.0, -690.0, size=int(tiny.sum())))
+        yield rng.choice([p, random_chain(rng, n)]), start(w), "weights near e^-700"
+        r = np.exp(rng.uniform(-3.0, 3.0, size=n))
+        w = np.exp(rng.uniform(-3.0, 3.0, size=n))
+        w[0] *= case % 2  # pi one step away, from mu0 on a face or not
+        yield np.tile(r / r.sum(), (n, 1)), start(w), "rank one"
+    for case in range(6):
+        n = int(rng.integers(2, 6))
+        lazy = (1.0 - 10.0 ** rng.uniform(-2.0, -1.5)) * np.eye(n)
+        p = lazy + (1.0 - lazy.sum(axis=1, keepdims=True)) * random_chain(rng, n)
+        yield p, random_simplex(rng, n), "near identity"
+    for case in range(20):
+        # A constant column 0: mu_k[0] = c for k >= 1 while the other states still mix.
+        n, c = int(rng.integers(3, 9)), rng.uniform(0.1, 0.6)
+        p = np.hstack([np.full((n, 1), c), (1.0 - c) * random_chain(rng, n - 1)[
+            rng.integers(n - 1, size=n)]])
+        yield p, random_simplex(rng, n), "component 0 settles first"
+
+
 class TestMarkovConverge:
     def test_rank_one_chain(self):
         run = markov_converge([[0.5, 0.5], [0.5, 0.5]], SimplexPoint((0.9, 0.1)), 3)
@@ -802,20 +839,34 @@ class TestMarkovConverge:
                 mu = normalize(PositiveVector(tuple(arr)))
 
     def test_one_walk_matches_two_walks_bit_for_bit(self, rng):
-        seen = set()
+        """Against markov_two_walks, which runs the full H on every search step: random
+        chains, then the families that the one-ratio bound of the search meets."""
+        seen, families, settled = set(), set(), 0
+
+        def check(p, mu0, case):
+            K = markov_two_walks(p, mu0, 0)[1]
+            steps = int(rng.choice([0, K - 1, K, K + 1, K + 30, rng.integers(0, 81)]))
+            seen.add((steps > K) - (steps < K))
+            want = outcome(lambda: markov_two_walks(p, mu0, steps)[0])
+            assert outcome(lambda: markov_converge(p, mu0, steps)) == want, case
+            return K
+
         for case in range(500):
             n = int(rng.integers(20, 81) if case % 50 == 0 else rng.integers(2, 9))
             p = random_chain(rng, n)
             w = np.exp(rng.uniform(-3.0, 3.0, size=n))
             if case % 5 == 0:
                 w[rng.integers(n)] = 0.0  # mu0 on a face
-            mu0 = normalize(PositiveVector(tuple(w)))
-            K = markov_two_walks(p, mu0, 0)[1]
-            steps = int(rng.choice([0, K - 1, K, K + 1, K + 30, rng.integers(0, 81)]))
-            seen.add((steps > K) - (steps < K))
-            want = outcome(lambda: markov_two_walks(p, mu0, steps)[0])
-            assert outcome(lambda: markov_converge(p, mu0, steps)) == want, case
-        assert seen == {-1, 0, 1}
+            check(p, normalize(PositiveVector(tuple(w))), case)
+        for case, (p, mu0, family) in enumerate(bound_cases(rng)):
+            K = check(p, mu0, (family, case))
+            families.add(family)
+            if family == "component 0 settles first":
+                # Steps before K with H in (1e-13, 1e-11) that the ratio cannot decide.
+                ms = [mu0.weights, *islice(contraction._iterates(mu0, NonnegMatrix(p)), K)]
+                settled += any(1e-13 < _hilbert_weights(x, y) < 1e-11
+                               and abs(y[0] / x[0] - 1.0) <= 1e-12 for x, y in zip(ms, ms[1:-1]))
+        assert seen == {-1, 0, 1} and len(families) == 6 and settled >= 15
 
     def test_tv_column_is_tv_distance(self, rng):
         """Each row's tv is tv_distance(mu_k, pi) bit for bit, within n ulp of a sequential sum."""
@@ -847,6 +898,14 @@ class TestMarkovConverge:
         want = outcome(lambda: markov_two_walks(chain, mu0, 5)[0])
         assert want[0] is CertificationError
         assert outcome(lambda: markov_converge(chain, mu0, 5)) == want
+
+    def test_refusal_reports_the_last_pair(self):
+        """A slow mixer whose step H still falls at step 100,000, unlike the periodic chain's:
+        the refusal names H(mu_99999, mu_100000), as the walk that runs H on every step does."""
+        slow, mu0 = [[0.999999, 1e-6], [1e-6, 0.999999]], SimplexPoint((0.9, 0.1))
+        want = outcome(lambda: markov_two_walks(slow, mu0, 5)[0])
+        assert want[0] is DomainError and "H=4.588386050472685e-06" in want[1]
+        assert outcome(lambda: markov_converge(slow, mu0, 5)) == want
 
     def test_step_cap_is_checked_before_the_walk(self, monkeypatch):
         def walk(mu0, P):
