@@ -67,6 +67,7 @@ __all__ = [
 # 1,000,000 steps need ~0.4 GB.  More are refused before the walk: a huge count ends in one
 # error line, not in an out-of-memory kill.
 _MAX_STEPS = 1_000_000
+_MAX_SEARCH = 100_000  # steps the stationary search walks before it refuses the chain
 # verify_contraction runs its trials in blocks of about _BLOCK draws a side, so its memory
 # is about one block (~2 MB) whatever the trial count.  The cap bounds its work instead:
 # 10,000,000 draws a side take 1.2-1.3 s on a 2-vCPU x86 host (0.5 s at n=250).  More are
@@ -337,17 +338,54 @@ def _iterates(mu0: SimplexPoint, P: NonnegMatrix) -> Iterator[tuple[float, ...]]
         yield _unit_mass(cur.tolist())
 
 
+def _stationary(P: NonnegMatrix, mu0: SimplexPoint, keep: int) -> tuple[tuple, Iterator]:
+    """The unit masses of pi, the first iterate mu_K with H(mu_{K-1}, mu_K) < 1e-13, and of
+    mu_1 .. mu_keep: the at most min(keep, K) the search passed, then the walk past mu_K."""
+    walk, kept = _iterates(mu0, P), []
+    pairs = pairwise(chain([_unit_mass(mu0.weights)], islice(walk, _MAX_SEARCH)))
+    for k, (prev, mass) in enumerate(pairs, 1):
+        if k <= keep:
+            kept.append(mass)
+        # One ratio mu_k[0] / mu_{k-1}[0] proves H(prev, mass) > 1e-13, so only the steps
+        # near pi run the full H, and K and pi are those of H on every step.  Both are unit
+        # masses that sum to 1 within 2u (see normalize): by the mediant inequality the
+        # computed min ratio is at most 1 + 5u and the max at least 1 - 5u, so a ratio more
+        # than 1e-12 from 1 leaves H > 9.9e-13 (> 5e-13 in the log-space form, which errs by
+        # < 2e-13 an entry).  mass[0] = 0 < prev[0] is unequal supports: H = inf.
+        if prev[0] > 0.0 and abs(mass[0] / prev[0] - 1.0) > 1e-12:
+            continue
+        if _hilbert_weights(prev, mass) < 1e-13:
+            return mass, chain(kept, islice(walk, keep - len(kept)))
+    h = _hilbert_weights(prev, mass)
+    raise DomainError(f"no stationary distribution in {_MAX_SEARCH} steps (last step H={h!r})")
+
+
+def _rows(mu0: SimplexPoint, masses, pi: tuple[float, ...], tau: float) -> Iterator[MarkovStep]:
+    """A checked MarkovStep for mu_0, then for each of ``masses``: H, T and tv to pi and the
+    bound tau^k H(mu_0, pi), h0 on row 0 (1.0 * h0, or inf), exceeded by at most 1e-9."""
+    h0 = _hilbert_weights(mu0.weights, pi)
+    yield MarkovStep(0, h0, _t(h0), _tv(mu0.weights, pi), h0)
+    for k, mw in enumerate(masses, 1):
+        hk = _hilbert_weights(mw, pi)
+        if math.isinf(h0):
+            # 0 * inf: a rank-one chain hits pi exactly after one step.
+            bound = math.inf if tau > 0.0 else 0.0
+        else:
+            bound = (tau**k) * h0
+        # bound is never nan, and no hk exceeds inf + 1e-9, so an inf bound always holds.
+        if hk > bound + 1e-9:
+            raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
+        yield MarkovStep(k, hk, _t(hk), _tv(mw, pi), bound)
+
+
 def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
     """Track H, T, and TV to the stationary distribution over ``steps`` iterations.
 
     The chain evolves as mu_{k+1} = mu_k P; the operator acting on measures
     is P^T on column vectors, and the cross-ratio minimum is transpose
-    invariant, so tau(P) certifies H(mu_k, pi) <= tau^k H(mu_0, pi).  pi is
-    the first iterate mu_K with H(mu_{K-1}, mu_K) < 1e-13; the one walk that
-    finds it also gives the table's rows, mu_1 .. mu_K kept and later ones made.
-    The search tests one ratio mu_k[0] / mu_{k-1}[0] first and runs the full H
-    only when it is within 1e-12 of 1, near pi: a ratio farther from 1 proves
-    H > 1e-13, so K and pi are those of H on every step.
+    invariant, so tau(P) certifies H(mu_k, pi) <= tau^k H(mu_0, pi).  ``_stationary``
+    owns the walk: the search for pi, its one-ratio shortcut and the refusal after
+    100,000 steps.  ``_rows`` owns the table: each row, its bound and its certificate.
     ``steps`` is at most 1,000,000.
     """
     P = _as_matrix(P)
@@ -363,38 +401,5 @@ def markov_converge(P, mu0: SimplexPoint, steps: int) -> MarkovRun:
         raise DimensionError(f"mu0 has length {len(mu0)}, matrix is {P.n}x{P.n}")
 
     tau = birkhoff_tau(P)
-
-    walk = _iterates(mu0, P)
-    kept = []
-    pairs = pairwise(chain([_unit_mass(mu0.weights)], islice(walk, 100_000)))
-    for k, (prev, mass) in enumerate(pairs, 1):
-        if k <= steps:
-            kept.append(mass)
-        # One ratio proves H(prev, mass) > 1e-13, so only the steps near pi run the full H.
-        # Both are unit masses that sum to 1 within 2u (see normalize): by the mediant
-        # inequality the computed min ratio is at most 1 + 5u and the max at least 1 - 5u, so
-        # a ratio more than 1e-12 from 1 leaves H > 9.9e-13 (> 5e-13 in the log-space form,
-        # which errs by < 2e-13 an entry).  mass[0] = 0 < prev[0] is unequal supports: H = inf.
-        if prev[0] > 0.0 and abs(mass[0] / prev[0] - 1.0) > 1e-12:
-            continue
-        if _hilbert_weights(prev, mass) < 1e-13:
-            break
-    else:
-        h = _hilbert_weights(prev, mass)
-        raise DomainError(f"no stationary distribution in 100000 steps (last step H={h!r})")
-    pi = SimplexPoint(mass)  # the weights normalize() gives for mu_K
-
-    # H and tv to pi of mu_0 .. mu_steps; row 0's bound is h0 (1.0 * h0, or inf).
-    h0 = _hilbert_weights(mu0.weights, mass)
-    rows = [MarkovStep(0, h0, _t(h0), _tv(mu0.weights, mass), h0)]
-    for k, mw in enumerate(chain(kept, islice(walk, steps - len(kept))), 1):
-        hk = _hilbert_weights(mw, mass)
-        if math.isinf(h0):
-            # 0 * inf: a rank-one chain hits pi exactly after one step.
-            bound = math.inf if tau > 0.0 else 0.0
-        else:
-            bound = (tau**k) * h0
-        if math.isfinite(bound) and hk > bound + 1e-9:
-            raise CertificationError(f"step {k}: H={hk!r} exceeds certified bound {bound!r}")
-        rows.append(MarkovStep(k, hk, _t(hk), _tv(mw, mass), bound))
-    return MarkovRun(tuple(rows), pi, tau)
+    pi, masses = _stationary(P, mu0, steps)  # pi: the weights normalize() gives for mu_K
+    return MarkovRun(tuple(_rows(mu0, masses, pi, tau)), SimplexPoint(pi), tau)

@@ -924,6 +924,54 @@ class TestMarkovConverge:
         assert math.isinf(run.steps[0].certified_bound)
         assert math.isfinite(run.steps[1].hilbert)
 
+    def test_stationary_gives_the_walk_and_its_kth_iterate(self, rng):
+        """_stationary's masses are the first ``keep`` iterates bit for bit, below, at and
+        past K, and its pi is mu_K."""
+        for case in range(12):
+            n = int(rng.integers(2, 9))
+            P, mu0 = NonnegMatrix(random_chain(rng, n)), random_simplex(rng, n)
+            K = markov_two_walks(P.entries, mu0, 0)[1]
+            kth = list(islice(contraction._iterates(mu0, P), K))[-1]
+            for keep in (0, K - 1, K, K + 30):
+                pi, masses = contraction._stationary(P, mu0, keep)
+                want = islice(contraction._iterates(mu0, P), keep)
+                assert [[x.hex() for x in m] for m in masses] == [
+                    [x.hex() for x in m] for m in want], (case, keep)
+                assert [x.hex() for x in pi] == [x.hex() for x in kth], (case, keep)
+
+    def test_rows_refuse_a_row_over_its_bound(self):
+        """_rows checks each row itself: a mass that did not move breaks tau = 0.5."""
+        mu0, pi = SimplexPoint((0.9, 0.1)), (0.5, 0.5)
+        rows = contraction._rows(mu0, [mu0.weights], pi, 0.5)
+        h0 = _hilbert_weights(mu0.weights, pi)
+        assert next(rows) == MarkovStep(0, h0, math.tanh(h0 / 4.0), 0.8, h0)
+        with pytest.raises(CertificationError) as exc:
+            next(rows)
+        assert str(exc.value) == f"step 1: H={h0!r} exceeds certified bound {0.5 * h0!r}"
+        # From a face h0 = inf: the bound is inf, which any H meets, or 0.0 when tau = 0.
+        face = SimplexPoint((1.0, 0.0))
+        assert [r.certified_bound for r in contraction._rows(face, [face.weights], pi, 0.5)] \
+            == [math.inf, math.inf]
+        with pytest.raises(CertificationError, match="^step 1: H=inf exceeds certified bound 0.0$"):
+            list(contraction._rows(face, [face.weights], pi, 0.0))
+
+    def test_memory_does_not_keep_the_search(self):
+        """A lazy chain whose search passes thousands of iterates, but only 5 rows: no more
+        than those 5 masses are held (about 3.5 MB if every search mass were kept)."""
+        rng, n = np.random.default_rng(5), 50
+        q = rng.uniform(0.1, 1.0, (n, n))
+        P = NonnegMatrix(0.99 * np.eye(n) + 0.01 * (q / q.sum(axis=1, keepdims=True)))
+        mu0 = random_simplex(rng, n)
+        assert markov_two_walks(P.entries, mu0, 0)[1] > 2000  # K
+        birkhoff_tau(P)  # the cached diameter pass is not part of the walk
+        tracemalloc.start()
+        try:
+            markov_converge(P, mu0, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
+
 
 def test_every_tau_is_tanh_of_quarter_diameter_bit_for_bit(rng):
     """birkhoff_tau on matrices and kernels, verify_contraction and markov_converge share one T."""
