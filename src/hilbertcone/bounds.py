@@ -5,7 +5,8 @@ absolute tolerance.  Total variation uses the factor-2 (ell^1) convention, so
 ``sup_A |mu(A) - nu(A)| = tv / 2``.
 
 Each public function is a thin wrapper over a private form that takes the
-pair's weights as arrays ``m``, ``v`` (KL and tv: the weight tuples) and its
+pair's weights as arrays ``m``, ``v`` (KL and tv: the weight tuples), their
+difference ``d = m - v``, the offsets ``|x - x0|`` of the support points, and
 ``h = H(mu, nu)`` or ``tv``, so that a caller evaluating several reports
 computes each once.  The private forms keep the scalar arithmetic's bits:
 element-wise ``+ - * / abs`` run in numpy, sums go through ``math.fsum``
@@ -33,7 +34,8 @@ from .core import (
     hilbert_distance,
 )
 from .errors import CertificationError, DomainError, ValidationError
-from .simplex import ThetaVector, _check_ball_center, _check_radius, theta_chart, theta_inverse
+from .simplex import (ThetaVector, _check_ball_center, _check_radius, _trusted, theta_chart,
+                      theta_inverse)
 
 __all__ = [
     "BoundReport",
@@ -79,7 +81,10 @@ def _report(lhs_name: str, lhs: float, rhs_name: str, rhs: float,
             applicable: bool = True) -> BoundReport:
     """The one report constructor, with plain float values; an infinite rhs is vacuous."""
     slack = math.inf if rhs == math.inf else rhs - lhs
-    return BoundReport(lhs_name, rhs_name, lhs, rhs, slack, slack >= -_TOL, applicable)
+    # The frozen __init__ would cost most of this function; BoundReport has no __post_init__.
+    return _trusted(BoundReport, {"lhs_name": lhs_name, "rhs_name": rhs_name, "lhs_value": lhs,
+                                  "rhs_value": rhs, "slack": slack, "holds": slack >= -_TOL},
+                    "applicable", [applicable])[0]
 
 
 def _expm1(h: float) -> float:
@@ -258,26 +263,25 @@ def _offsets(xs: np.ndarray, x0: float) -> np.ndarray:
     return np.abs(xs - x0)
 
 
-def _w1(xs: np.ndarray, m: np.ndarray, v: np.ndarray) -> float:
+def _w1(xs: np.ndarray, d: np.ndarray) -> float:
     if not math.isfinite(float(xs[-1]) - float(xs[0])):  # the widest gap is at most this
         raise DomainError("support gap overflows a float; rescale the support points")
-    # Both running sums stay sequential, as in a loop: np.cumsum, never np.sum.
-    cdf_gap = np.cumsum((m - v)[:-1])
-    return float(np.cumsum(np.abs(cdf_gap) * np.diff(xs))[-1])
+    # Both running sums stay sequential, as in a loop: np.cumsum, never np.sum.  The gaps
+    # are np.diff's subtraction, without its Python-level wrapper.
+    cdf_gap = np.cumsum(d[:-1])
+    return float(np.cumsum(np.abs(cdf_gap) * (xs[1:] - xs[:-1]))[-1])
 
 
 def w1_exact_1d(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint) -> float:
     """Exact 1-D Wasserstein-1 distance: integral of the CDF gap."""
     m, v = _arrays(mu, nu)
-    return _w1(_check_points(support_points, len(mu), "support point", "measures"), m, v)
+    return _w1(_check_points(support_points, len(mu), "support point", "measures"), m - v)
 
 
-def _w1_bound(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, h: float) -> BoundReport:
-    lhs = _w1(xs, m, v)
+def _w1_bound(w1: float, m: np.ndarray, off: np.ndarray | None, h: float) -> BoundReport:
     if h == math.inf:
-        return _report("W1", lhs, "(e^H-1)*m1(mu)", math.inf, applicable=False)
-    moment = math.fsum((_offsets(xs, x0) * m).tolist())
-    return _report("W1", lhs, "(e^H-1)*m1(mu)", _expm1(h) * moment)
+        return _report("W1", w1, "(e^H-1)*m1(mu)", math.inf, applicable=False)
+    return _report("W1", w1, "(e^H-1)*m1(mu)", _expm1(h) * math.fsum((off * m).tolist()))
 
 
 def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: SimplexPoint,
@@ -286,17 +290,19 @@ def w1_bound_from_h(support_points: Sequence[float], mu: SimplexPoint, nu: Simpl
     _check_x0(x0)
     m, v = _arrays(mu, nu)
     xs = _check_points(support_points, len(mu), "support point", "measures")
-    return _w1_bound(xs, m, v, x0, hilbert_distance(mu, nu))
+    h, w1 = hilbert_distance(mu, nu), _w1(xs, m - v)  # a gap past float range is refused first
+    # At H = inf the bound takes no moment, so it refuses no offset past float range.
+    return _w1_bound(w1, m, _offsets(xs, x0) if h < math.inf else None, h)
 
 
-def _moment_gap(xs: np.ndarray, m: np.ndarray, v: np.ndarray, x0: float, q: float,
+def _moment_gap(off: list[float], d: np.ndarray, m: np.ndarray, q: float,
                 h: float) -> BoundReport:
     try:
-        dq = np.array(list(map(pow, _offsets(xs, x0).tolist(), repeat(q))))  # |x - x0|**q on libm
+        dq = np.array(list(map(pow, off, repeat(q))))  # |x - x0|**q on libm
     except OverflowError:
         raise DomainError(f"|x - x0|**q overflows a float for q={q!r}; "
                           "rescale the support points") from None
-    lhs = abs(math.fsum((dq * (m - v)).tolist()))
+    lhs = abs(math.fsum((dq * d).tolist()))
     lhs_name, name = f"|moment-gap q={q:g}|", f"K_{q:g}(mu)*(e^H-1)"
     if h == math.inf:
         return _report(lhs_name, lhs, name, math.inf, applicable=False)
@@ -315,13 +321,13 @@ def moment_gap_bound(support_points: Sequence[float], mu: SimplexPoint, nu: Simp
         raise ValidationError(f"q must be finite and >= 0, got {q!r}")
     m, v = _arrays(mu, nu)
     xs = _check_points(support_points, len(mu), "support point", "measures")
-    return _moment_gap(xs, m, v, x0, q, hilbert_distance(mu, nu))
+    return _moment_gap(_offsets(xs, x0).tolist(), m - v, m, q, hilbert_distance(mu, nu))
 
 
 def _t_upper_from_tv(m: np.ndarray, v: np.ndarray, tv: float, h: float) -> BoundReport:
-    if not (m.all() and v.all()):  # full support on both sides
+    min_mass = min(float(m.min()), float(v.min()))
+    if not min_mass > 0.0:  # the weights are >= 0: a zero on either side, no full support
         return _report("T", _t(h), "tv/(4*min-mass)", math.inf, applicable=False)
-    min_mass = float(min(m.min(), v.min()))
     return _report("T", _t(h), "tv/(4*min-mass)", (tv / 2.0) / (2.0 * min_mass))
 
 
@@ -331,10 +337,9 @@ def t_upper_from_tv(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     return _t_upper_from_tv(m, v, _tv(mu.weights, nu.weights), hilbert_distance(mu, nu))
 
 
-def _subset_sup(m: np.ndarray, v: np.ndarray, h: float) -> BoundReport:
-    # m > v is m - v > 0 for finite floats (subtraction underflows gradually),
-    # and v - m == -(m - v) exactly.
-    d = m - v
+def _subset_sup(d: np.ndarray, h: float) -> BoundReport:
+    # With d = m - v: m > v is d > 0 for finite floats (subtraction underflows gradually),
+    # and v - m == -d exactly.
     gap = max(math.fsum(d[d > 0.0].tolist()), math.fsum((-d[d < 0.0]).tolist()))
     return _report("sup_A |mu(A)-nu(A)|", gap, "T", _t(h))
 
@@ -342,7 +347,7 @@ def _subset_sup(m: np.ndarray, v: np.ndarray, h: float) -> BoundReport:
 def subset_sup_bound(mu: SimplexPoint, nu: SimplexPoint) -> BoundReport:
     """sup over index subsets of the mass gap (= tv/2) is at most T."""
     m, v = _arrays(mu, nu)
-    return _subset_sup(m, v, hilbert_distance(mu, nu))
+    return _subset_sup(m - v, hilbert_distance(mu, nu))
 
 
 def sharpness_witness(radius: float) -> tuple[SimplexPoint, SimplexPoint]:
@@ -376,13 +381,15 @@ def bound_reports(mu: SimplexPoint, nu: SimplexPoint) -> list[BoundReport]:
     m, v = _arrays(mu, nu)
     h, tv = hilbert_distance(mu, nu), _tv(mu.weights, nu.weights)
     xs = np.arange(float(len(mu)))
+    d, off = m - v, _offsets(xs, 0.0)
+    offs = off.tolist()
     return [
         _tv_from_t(tv, h),
         _atar_zeitouni(tv, h),
-        _subset_sup(m, v, h),
+        _subset_sup(d, h),
         _t_upper_from_tv(m, v, tv, h),
-        _w1_bound(xs, m, v, xs[0], h),
-        _moment_gap(xs, m, v, xs[0], 1, h),
-        _moment_gap(xs, m, v, xs[0], 2, h),
+        _w1_bound(_w1(xs, d), m, off, h),
+        _moment_gap(offs, d, m, 1, h),
+        _moment_gap(offs, d, m, 2, h),
         _kl_from_h(_kl(mu.weights, nu.weights), h),
     ]

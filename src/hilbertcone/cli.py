@@ -141,20 +141,11 @@ def _scalar(v) -> str:
             else int.__repr__(v))
 
 
-def _dict_text(d: dict, pad: str) -> str:
-    """``json.dumps(d, indent=2)`` for a non-empty flat dict with str keys, indented by ``pad``."""
-    p = pad + "  "
-    return (f"{pad}{{\n" + ",\n".join([f"{p}{encode_basestring_ascii(k)}: {_scalar(v)}"
-                                        for k, v in d.items()]) + f"\n{pad}}}")
-
-
-def _emit_json(obj, out) -> None:
-    """Write a non-empty flat dict, or a non-empty list of them, as ``json.dump(obj, out,
-    indent=2)`` does, with inf as the string "inf" (see README)."""
-    if isinstance(obj, list):
-        out.write("[\n" + ",\n".join([_dict_text(d, "  ") for d in obj]) + "\n]\n")
-    else:
-        out.write(_dict_text(obj, "") + "\n")
+def _emit_json(obj: dict, out) -> None:
+    """Write a non-empty flat dict with str keys as ``json.dump(obj, out, indent=2)`` does, with
+    inf as the string "inf" (see README)."""
+    out.write("{\n" + ",\n".join([f"  {encode_basestring_ascii(k)}: {_scalar(v)}"
+                                   for k, v in obj.items()]) + "\n}\n")
 
 
 def _cmd_dist(args, out) -> int:
@@ -205,15 +196,32 @@ def _rows_text(rows, fmt: str, pad: str) -> str:
     return "[\n" + ",\n".join([row % r for r in rows]) + f"\n{pad}]"
 
 
+@functools.cache  # the same block for every ball of one dimension
+def _halfspaces_text(halfspaces: tuple, pad: str) -> str:
+    return _rows_text(halfspaces, "%d", pad)
+
+
+class _Reprs(dict):
+    """float -> its repr, computed on first lookup.  Keyed by value, it would merge 0.0 and -0.0,
+    but no chart coordinate is -0.0: a log-ratio ``x - x`` and a moved one ``b + -b`` round to
+    +0.0."""
+
+    def __missing__(self, x: float) -> str:
+        s = self[x] = float.__repr__(x)
+        return s
+
+
 def _write_ball(ball: spx.BallPolytope, out, pad: str = "") -> None:
     """Write ``ball`` as ``json.dump(..., indent=2)`` does, indented by ``pad`` (see README)."""
     r, p = float.__repr__, pad + "  "
+    # Each chart vertex moves every center coordinate by 0 or +-R: 3n distinct values on S^n.
+    coord = _Reprs().__getitem__  # one memo per ball
     out.write(f'{pad}{{\n{p}"center": [\n{p}  ' + f",\n{p}  ".join(map(r, ball.center.weights))
               + f'\n{p}],\n{p}"radius": {r(ball.radius)},\n{p}"theta_vertices": '
-              + _rows_text([v.coords for v in ball.theta_vertices], "%r", p)
+              + _rows_text([tuple(map(coord, v.coords)) for v in ball.theta_vertices], "%s", p)
               + f',\n{p}"simplex_vertices": '
               + _rows_text([v.weights for v in ball.simplex_vertices], "%r", p)
-              + f',\n{p}"halfspaces": ' + _rows_text(ball.halfspaces, "%d", p) + f"\n{pad}}}")
+              + f',\n{p}"halfspaces": ' + _halfspaces_text(ball.halfspaces, p) + f"\n{pad}}}")
 
 
 def _cmd_ball(args, out) -> int:
@@ -247,10 +255,20 @@ def _cmd_markov(args, out) -> int:
     return 0
 
 
+# One BoundReport, as an element of a json.dump(..., indent=2) array: its fields in order.
+_REPORT = ('  {\n    "lhs_name": %s,\n    "rhs_name": %s,\n    "lhs_value": %s,\n'
+           '    "rhs_value": %s,\n    "slack": %s,\n    "holds": %s,\n    "applicable": %s\n  }')
+_BOOLS = ("false", "true")
+
+
 def _cmd_bounds(args, out) -> int:
     a, b = _load(args.a, "vector"), _load(args.b, "vector")
     mu, nu = _measure(a, "a"), _measure(b, "b")
-    _emit_json([vars(r) for r in bnd.bound_reports(mu, nu)], out)
+    s, e = _scalar, encode_basestring_ascii
+    out.write("[\n" + ",\n".join([
+        _REPORT % (e(r.lhs_name), e(r.rhs_name), s(r.lhs_value), s(r.rhs_value), s(r.slack),
+                   _BOOLS[r.holds], _BOOLS[r.applicable])
+        for r in bnd.bound_reports(mu, nu)]) + "\n]\n")
     return 0
 
 

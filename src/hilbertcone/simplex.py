@@ -194,8 +194,8 @@ def _check_vertices(thetas: list[tuple[float, ...]],
     return W
 
 
-def _trusted(cls, name: str, values: list, **fixed) -> list:
-    """One frozen dataclass per value of field ``name``, checked already: no ``__post_init__``."""
+def _trusted(cls, fixed: dict, name: str, values: list) -> list:
+    """Frozen dataclasses of checked fields, one per value of ``name``: no ``__post_init__``."""
     new, objs = object.__new__, []
     for v in values:
         obj = new(cls)
@@ -241,8 +241,8 @@ def _balls(centers: list[SimplexPoint], radius: float) -> list[BallPolytope]:
         raise CoordinateRangeError(
             f"vertex misses the sphere by {worst[np.argmax(worst > 1e-9)]:.3g}")
     halfspaces = _halfspaces(n)
-    tvs = _trusted(ThetaVector, "coords", thetas, chart_index=0)
-    pts = _trusted(SimplexPoint, "weights", weights)
+    tvs = _trusted(ThetaVector, {"chart_index": 0}, "coords", thetas)
+    pts = _trusted(SimplexPoint, {}, "weights", weights)
     r, v = float(radius), W.shape[1]
     return [BallPolytope(nu, r, tuple(tvs[j:j + v]), tuple(pts[j:j + v]), halfspaces)
             for j, nu in zip(range(0, len(tvs), v), centers)]

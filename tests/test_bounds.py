@@ -426,6 +426,13 @@ def test_bound_overflow_is_a_domain_error(call, message):
     assert str(info.value).endswith("; rescale the support points")
 
 
+def test_w1_bound_at_infinite_h_takes_no_offsets():
+    # At H = inf the bound is vacuous and needs no moment, so the offset past float range that
+    # the finite-H call refuses (above) is never formed.
+    report = w1_bound_from_h([0, 1e308], MU2, S((1.0, 0.0)), x0=-1e308)
+    assert (report.rhs_value, report.applicable) == (math.inf, False)
+
+
 class TestMomentGap:
     def test_holds_q1_q2(self, rng):
         for _ in range(200):

@@ -560,9 +560,7 @@ class TestCleanErrors:
             '  "kl": 0.4054651081081645,\n  "comparable": false\n}\n'))
         reports = bounds.bound_reports(normalize(PositiveVector((0.0, 1.0, 1.0))),
                                        normalize(PositiveVector((1.0, 1.0, 1.0))))
-        expected = io.StringIO()
-        cli._emit_json([vars(r) for r in reports], expected)
-        assert run(["bounds", z, ones]) == (0, expected.getvalue())
+        assert run(["bounds", z, ones]) == (0, _reports_json(reports))
         p = write(tmp_path, "p.json", "[[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]")
         assert run(["markov", p, z, "2"]) == (0, (
             "step,hilbert,t,tv,certified_bound\n"
@@ -645,6 +643,41 @@ class TestCleanErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _inf_as_string(d):
+    return {k: "inf" if v == math.inf else v for k, v in d.items()}
+
+
+def _reports_json(reports):
+    """What ``bounds`` prints for ``reports``: json.dumps with inf as the string "inf"."""
+    return json.dumps([_inf_as_string(vars(r)) for r in reports], indent=2) + "\n"
+
+
+def _weights(n):
+    """n weights >= 0, about 20% of them 0, and one positive."""
+    w = st.floats(1e-3, 1e3)
+    return st.lists(st.just(0.0) | w | w | w | w, min_size=n, max_size=n).filter(any)
+
+
+@st.composite
+def weight_pairs(draw):
+    n = draw(st.integers(2, 40))
+    return draw(_weights(n)), draw(_weights(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=weight_pairs())
+@example(pair=([1.0, 1.0, 2.0], [1.0, 0.0, 1.0]))  # unequal supports: KL and slacks inf
+def test_bounds_writer_matches_json_dump(pair):
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d, "a.json"), Path(d, "b.json")]
+        for path, w in zip(paths, pair):
+            path.write_text(json.dumps(w))
+        code, out = run(["bounds", *map(str, paths)])
+    assert code == 0
+    mu, nu = (normalize(PositiveVector(tuple(w))) for w in pair)
+    assert out == _reports_json(bounds.bound_reports(mu, nu))
+
+
 def _ball_dict(ball):
     """A ball in the layout the CLI writes: the test oracle for its writer, with json.dumps."""
     return {
@@ -660,10 +693,24 @@ _centers = st.lists(st.floats(0.01, 100.0), min_size=2, max_size=9)  # S^1..S^8
 _radii = st.sampled_from(["1e-300", "1e-05", "0.1", "0.5", "2.5"])
 
 
+def _ball_examples(test):
+    """Balls whose chart coordinates repeat: uniform centers on S^1..S^6, every coordinate 0.0,
+    and centers with two equal weights, at radius 1e-300, where b +- R rounds back to b unless
+    b = 0, and at a radius where it does not."""
+    for n in range(1, 7):
+        for radius in ("1e-300", "0.5"):
+            test = example(weights=[1.0] * (n + 1), radius=radius, reprs=[])(test)
+    for weights in ([2.0, 2.0, 5.0], [1.0, 3.0, 3.0, 0.5]):
+        for radius in ("1e-300", "0.1"):
+            test = example(weights=weights, radius=radius, reprs=[])(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(weights=_centers, radius=_radii,
        reprs=st.lists(st.sampled_from([1e-05, 1e16, 0.1, 12345.678, 5e-324]) | st.floats(
            allow_nan=False, allow_infinity=False), max_size=3))
+@_ball_examples
 def test_ball_writer_matches_json_dump(weights, radius, reprs):
     with tempfile.TemporaryDirectory() as d:
         c = Path(d, "c.json")
@@ -672,6 +719,13 @@ def test_ball_writer_matches_json_dump(weights, radius, reprs):
     assert code == 0
     ball = ball_vertices(normalize(PositiveVector(tuple(weights))), float(radius))
     assert out == json.dumps(_ball_dict(ball), indent=2) + "\n"
+    # The chart coordinates negated, written after the ball: each 0.0 is now -0.0, whose repr
+    # differs though it equals 0.0, so a coordinate memo must not outlive one ball.
+    flipped = dataclasses.replace(ball, theta_vertices=tuple(
+        dataclasses.replace(v, coords=tuple(-x for x in v.coords)) for v in ball.theta_vertices))
+    buf = io.StringIO()
+    _write_ball(flipped, buf)
+    assert buf.getvalue() == json.dumps(_ball_dict(flipped), indent=2)
     # Radii whose repr the ball above cannot reach: 1e+16, 5e-324, a negative exponent.
     for r in reprs:
         buf = io.StringIO()
@@ -682,6 +736,7 @@ def test_ball_writer_matches_json_dump(weights, radius, reprs):
 @settings(max_examples=20, deadline=None)
 @given(weights=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3),
        radius=_radii, shells=st.integers(0, 3))
+@example(weights=[1.0, 2.0, 4.0], radius="1e-300", shells=2)  # 19 balls of the same numbers
 def test_tile_writer_matches_json_dump(weights, radius, shells):
     with tempfile.TemporaryDirectory() as d:
         c = Path(d, "c.json")
@@ -699,13 +754,11 @@ _flat_dicts = st.dictionaries(_strings, _scalars, min_size=1, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj=_flat_dicts | st.lists(_flat_dicts, min_size=1, max_size=4))
+@given(obj=_flat_dicts)
 def test_report_writer_matches_json_dump(obj):
     buf = io.StringIO()
     cli._emit_json(obj, buf)
-    rows = [{k: "inf" if v == math.inf else v for k, v in r.items()}
-            for r in (obj if isinstance(obj, list) else [obj])]
-    assert buf.getvalue() == json.dumps(rows if isinstance(obj, list) else rows[0], indent=2) + "\n"
+    assert buf.getvalue() == json.dumps(_inf_as_string(obj), indent=2) + "\n"
 
 
 def _run_full_parse(argv):
